@@ -421,7 +421,7 @@ func runRemote(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int6
 		return err
 	}
 	defer bench.Close()
-	white := openbox.CacheRegionModel(entry.Model, 0)
+	white := openbox.CacheRegionModelOpts(entry.Model, openbox.StoreOptions{})
 	var rows []eval.QualityRow
 	wires := make([]eval.WireStats, 0, reps)
 	for rep := 0; rep < reps; rep++ {

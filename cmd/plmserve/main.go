@@ -1,6 +1,8 @@
 // Command plmserve loads a model saved by plmtrain and exposes it as an
 // HTTP prediction API — the "cloud service" the paper interprets. Only
-// probabilities leave the process; parameters stay hidden.
+// probabilities leave the process; parameters stay hidden. Every endpoint
+// named below is served under the /v1 prefix (GET /v1/meta, POST
+// /v1/batch, GET /v1/stats, ...).
 //
 // With -replicas N the model is loaded N times and served behind the
 // api.Shard router: each /batch request is dispatched load-aware across the
@@ -16,7 +18,8 @@
 //
 // With -cache N a bounded LRU response cache sits in front of the whole
 // shard: repeated probes are answered without touching any backend, and
-// /stats reports cache_hits / cache_misses / cache_evictions.
+// /stats reports its hits, misses, evictions and size under
+// caches.response.
 //
 // With -fleet the backend set additionally becomes dynamic: the instance
 // mounts the registry protocol (POST /register, /heartbeat, /leave) and
@@ -51,11 +54,11 @@
 // paths. Interpret jobs harvest the exact locally linear regions of the
 // submitted instances and need at least one local replica (-model).
 //
-// Payload encoding is negotiated per request (internal/wire): every
-// endpoint speaks the legacy JSON envelopes, and peers that saw the
-// server's /meta advertise the binary float-frame codec ship the same
-// payloads as length-prefixed little-endian frames — bit-identical to the
-// JSON path at a fraction of the bytes, with an opt-in float32 mode.
+// Payload encoding is chosen per request (internal/wire): every endpoint
+// speaks JSON envelopes, and the binary float-frame codec — which the
+// repository's own clients use — ships the same payloads as
+// length-prefixed little-endian frames, bit-identical to the JSON path at
+// a fraction of the bytes.
 // Finished job results additionally page (GET /jobs/{id}?offset=O&limit=L)
 // and, for binary clients, stream as one frame per result chunk. /stats
 // reports the wire traffic (bytes_in/bytes_out and the binary/JSON request
@@ -102,7 +105,7 @@ const atlasFrontEntries = 1024
 // into the local store — the warm-start half of the fleet join handshake.
 // Ingest dedups by key, so re-pulling after a re-register is idempotent.
 func pullAtlasSnapshot(ctx context.Context, router string, store *atlas.Atlas) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, router+"/atlas/snapshot", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, router+api.PathPrefix+"/atlas/snapshot", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -115,6 +118,20 @@ func pullAtlasSnapshot(ctx context.Context, router string, store *atlas.Atlas) (
 		return 0, fmt.Errorf("atlas snapshot fetch: %s", resp.Status)
 	}
 	return store.Ingest(resp.Body)
+}
+
+// mountAtlas serves a region atlas: GET /regions/{key} (one stored closed
+// form), GET /atlas/snapshot (the committed log, which joining workers pull)
+// and the "regions" store in the /stats caches section.
+func mountAtlas(srv *api.Server, store *atlas.Atlas) {
+	srv.SetRegionSource(store.Lookup)
+	srv.AddStoreStats("regions", store.Stats)
+	srv.Handle("GET /atlas/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if _, err := store.WriteSnapshot(w); err != nil {
+			log.Printf("atlas snapshot: %v", err)
+		}
+	})
 }
 
 // loadReplicas loads the model file n times — each replica owns its own
@@ -358,14 +375,7 @@ func main() {
 		log.Fatalf("-jobs %d: need >= 0", *jobsN)
 	}
 	if store != nil {
-		srv.SetRegionSource(store.Lookup)
-		srv.AddStoreStats("regions", store.Stats)
-		srv.Handle("GET /atlas/snapshot", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			if _, err := store.WriteSnapshot(w); err != nil {
-				log.Printf("atlas snapshot: %v", err)
-			}
-		})
+		mountAtlas(srv, store)
 		srv.SetAtlasStatus(func() api.AtlasStatus {
 			st := store.Stats()
 			as := api.AtlasStatus{
@@ -391,7 +401,7 @@ func main() {
 	}
 	fmt.Printf("serving %s (%d features, %d classes, %d local replica(s), %d remote backend(s)) on %s\n",
 		*name, model.Dim(), model.Classes(), *replicas, len(backendAddrs), *addr)
-	fmt.Println("endpoints: " + endpoints)
+	fmt.Println("endpoints (under " + api.PathPrefix + "): " + endpoints)
 
 	if *logStats > 0 {
 		// The queries/round-trips ratio shows how well clients batch: an

@@ -19,6 +19,7 @@ import (
 	"repro/internal/modelio"
 	"repro/internal/nn"
 	"repro/internal/openbox"
+	"repro/internal/plm"
 )
 
 // TestLoadReplicasServesShardedStats exercises exactly what `plmserve
@@ -68,7 +69,7 @@ func TestLoadReplicasServesShardedStats(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,24 +148,106 @@ func TestCachedShardedServer(t *testing.T) {
 		t.Fatalf("cached answer %v != first answer %v", second, first)
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var stats struct {
-		CacheHits      *int64  `json:"cache_hits"`
-		CacheMisses    *int64  `json:"cache_misses"`
-		ReplicaQueries []int64 `json:"replica_queries"`
+		Caches         map[string]plm.StoreStats `json:"caches"`
+		ReplicaQueries []int64                   `json:"replica_queries"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits == nil || *stats.CacheHits != 1 || stats.CacheMisses == nil || *stats.CacheMisses != 1 {
-		t.Fatalf("cache stats hits=%v misses=%v, want 1/1", stats.CacheHits, stats.CacheMisses)
+	if got := stats.Caches["response"]; got.Hits != 1 || got.Misses != 1 {
+		t.Fatalf("cache stats hits=%d misses=%d, want 1/1", got.Hits, got.Misses)
 	}
 	if len(stats.ReplicaQueries) != 2 {
 		t.Fatalf("replica_queries = %v, want the shard visible behind the cache", stats.ReplicaQueries)
+	}
+}
+
+// TestEveryEndpointServedOnlyUnderV1 mounts every endpoint main() can
+// serve — the core API, the fleet registry, async jobs and the atlas — and
+// checks that each answers under /v1 while its unversioned path is a 404.
+func TestEveryEndpointServedOnlyUnderV1(t *testing.T) {
+	net := nn.New(rand.New(rand.NewSource(11)), 4, 6, 3)
+	white := &openbox.PLNN{Net: net}
+	x := mat.Vec{0.1, -0.2, 0.3, 0.4}
+
+	store, err := atlas.Open(filepath.Join(t.TempDir(), "regions.plma"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	lin, err := openbox.Extract(net, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Insert(lin.Key, lin)
+
+	shard := api.NewDynamicShard(api.ShardConfig{})
+	if err := shard.AddBackend(api.NewLocalBackend(white, "local")); err != nil {
+		t.Fatal(err)
+	}
+	srv := api.NewServer(shard, "router")
+	api.NewRegistry(shard, api.RegistryConfig{TTL: time.Minute}).Mount(srv)
+	runner, err := jobs.NewRunner(white, white, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.Mount(srv)
+	mountAtlas(srv, store)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	worker := httptest.NewServer(api.NewServer(&openbox.PLNN{Net: net.Clone()}, "worker"))
+	defer worker.Close()
+
+	id, err := runner.Submit(jobs.OpPredict, []mat.Vec{x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := `[0.1,-0.2,0.3,0.4]`
+	addr := `{"addr":"` + worker.URL + `"}`
+	// Ordered: heartbeat and leave need the registration before them.
+	endpoints := []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodGet, "/meta", "", http.StatusOK},
+		{http.MethodPost, "/predict", `{"x":` + probe + `}`, http.StatusOK},
+		{http.MethodPost, "/batch", `{"xs":[` + probe + `]}`, http.StatusOK},
+		{http.MethodGet, "/stats", "", http.StatusOK},
+		{http.MethodPost, "/jobs", `{"op":"predict","xs":[` + probe + `]}`, http.StatusAccepted},
+		{http.MethodGet, "/jobs/" + id, "", http.StatusOK},
+		{http.MethodGet, "/regions/" + lin.Key, "", http.StatusOK},
+		{http.MethodPost, "/register", addr, http.StatusOK},
+		{http.MethodPost, "/heartbeat", addr, http.StatusOK},
+		{http.MethodPost, "/leave", addr, http.StatusOK},
+		{http.MethodGet, "/atlas/snapshot", "", http.StatusOK},
+	}
+	status := func(method, path, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, ep := range endpoints {
+		if got := status(ep.method, ep.path, ep.body); got != http.StatusNotFound {
+			t.Errorf("%s %s answered %d, want 404", ep.method, ep.path, got)
+		}
+		if got := status(ep.method, api.PathPrefix+ep.path, ep.body); got != ep.want {
+			t.Errorf("%s %s%s answered %d, want %d", ep.method, api.PathPrefix, ep.path, got, ep.want)
+		}
 	}
 }
 
@@ -238,7 +321,7 @@ func TestBuildBackendsHeterogeneous(t *testing.T) {
 	}
 	check("all alive")
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +397,7 @@ func TestAtlasColdStartServesCensusedRegions(t *testing.T) {
 		}
 		srv := api.NewServer(m, "atlas-test")
 		runner.Mount(srv)
-		srv.SetRegionSource(a.Lookup)
+		mountAtlas(srv, a)
 		srv.SetAtlasStatus(func() api.AtlasStatus {
 			st := a.Stats()
 			done, total := runner.CensusProgress()
@@ -483,7 +566,7 @@ func TestAtlasColdStartServesCensusedRegions(t *testing.T) {
 
 // TestAtlasSnapshotWarmsJoiningWorker is the snapshot-on-join handshake
 // exactly as main() wires it: a router with a populated atlas, a worker
-// whose FleetSession pulls /atlas/snapshot on register and ingests it.
+// whose FleetSession pulls /v1/atlas/snapshot on register and ingests it.
 func TestAtlasSnapshotWarmsJoiningWorker(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := nn.New(rng, 5, 8, 3)
@@ -517,12 +600,7 @@ func TestAtlasSnapshotWarmsJoiningWorker(t *testing.T) {
 		st := routerAtlas.Stats()
 		return api.AtlasStatus{Regions: st.Size, Bytes: st.Bytes}
 	})
-	srv.Handle("GET /atlas/snapshot", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := routerAtlas.WriteSnapshot(rw); err != nil {
-			t.Errorf("snapshot write: %v", err)
-		}
-	})
+	mountAtlas(srv, routerAtlas)
 	router := httptest.NewServer(srv)
 	defer router.Close()
 

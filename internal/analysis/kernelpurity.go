@@ -12,7 +12,7 @@ import (
 // internal/mat: the pure-Go fallback of every assembly-backed inner product
 // must accumulate in ascending k with one rounding chain per output
 // element, because that is the order every microkernel in the tier ladder
-// (NEON, AVX2, AVX-512) commits to and the whole cross-tier bit-identity
+// (AVX2, AVX-512) commits to and the whole cross-tier bit-identity
 // argument rests on all paths performing the same additions in the same
 // sequence.
 //
@@ -30,7 +30,7 @@ import (
 //     other.)
 //  3. math.FMA anywhere in kernel code: a fused multiply-add rounds once
 //     where the kernel contract requires two roundings per step (multiply,
-//     then add) — the same reason the assembly tiers avoid VFMADD/VFMLA.
+//     then add) — the same reason the assembly tiers avoid VFMADD.
 //  4. Float reductions inside epilogue hooks (functions named after or
 //     methods on Epilogue): the fused epilogue is per-element
 //     post-accumulation work only; a running scalar sum there re-enters the

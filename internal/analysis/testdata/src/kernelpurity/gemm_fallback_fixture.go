@@ -1,13 +1,13 @@
-// Fixtures mirroring the pure-Go fallbacks that stand in for the arm64
-// (gemm_arm64.s) and noasm microkernels. Type-checked under
-// "repro/internal/mat"; the file name starts with "gemm" so the analyzer
-// scopes it as kernel code.
+// Fixtures mirroring the pure-Go fallbacks that stand in for the assembly
+// microkernels on architectures without them (gemm_noasm.go). Type-checked
+// under "repro/internal/mat"; the file name starts with "gemm" so the
+// analyzer scopes it as kernel code.
 package a
 
 import "math"
 
-// The fallback shape the NEON kernel must match: one ascending-t chain per
-// packed lane.
+// The fallback shape the packed kernels must match: one ascending-t chain
+// per packed lane.
 func dotPackFallback(pack, b0 []float64, k int, out *[4]float64) {
 	var s0, s1 float64
 	for t := 0; t < k; t++ {
@@ -19,7 +19,7 @@ func dotPackFallback(pack, b0 []float64, k int, out *[4]float64) {
 }
 
 // math.FMA contracts multiply and add into one rounding — the Go-level twin
-// of the VFMLA/VFMADD instructions the assembly tiers deliberately avoid.
+// of the VFMADD instructions the assembly tiers deliberately avoid.
 func dotPackFMA(pack, b0 []float64, k int) float64 {
 	var s float64
 	for t := 0; t < k; t++ {

@@ -156,7 +156,7 @@ func TestStatsReportsRemoteAndUnreachableBackends(t *testing.T) {
 		t.Fatal(err) // failover keeps the shard serving
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPredictAnswersErrorWhenAllBackendsDead(t *testing.T) {
 	srv := NewServer(cached, "dead")
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/predict", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
 		bytes.NewReader([]byte(`{"x":[1,0,0,0]}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestPredictAnswersErrorWhenAllBackendsDead(t *testing.T) {
 	// The backend comes back: the next predict succeeds end to end (the
 	// failure was not cached) and is bit-identical to the model.
 	dead.down.Store(false)
-	resp2, err := http.Post(ts.URL+"/predict", "application/json",
+	resp2, err := http.Post(ts.URL+"/v1/predict", "application/json",
 		bytes.NewReader([]byte(`{"x":[1,0,0,0]}`)))
 	if err != nil {
 		t.Fatal(err)

@@ -19,39 +19,27 @@ import (
 // The wire protocol is deliberately what a minimal prediction service looks
 // like:
 //
-//	GET  /meta     -> {"name":..., "dim":d, "classes":C, "codecs":[...]}
-//	POST /predict  {"x":[...]}        -> {"probs":[...]}
-//	POST /batch    {"xs":[[...],..]}  -> {"probs":[[...],..]}
-//	GET  /stats    -> {"queries":n, ...}
+//	GET  /v1/meta     -> {"name":..., "dim":d, "classes":C}
+//	POST /v1/predict  {"x":[...]}        -> {"probs":[...]}
+//	POST /v1/batch    {"xs":[[...],..]}  -> {"probs":[[...],..]}
+//	GET  /v1/stats    -> {"queries":n, ...}
 //
 // Only probabilities cross the wire — never parameters — so the server side
 // is a faithful stand-in for the cloud APIs the paper targets.
 //
 // Payload encoding is pluggable (internal/wire): the JSON envelopes above
-// are the universal fallback, and peers that both advertise the binary
-// float-frame codec ship the same payloads as length-prefixed little-endian
-// frames at a fraction of the bytes. Negotiation is per request via
-// Content-Type and Accept; /meta advertises what the server speaks.
+// serve any HTTP client, and the binary float-frame codec ships the same
+// payloads as length-prefixed little-endian frames at a fraction of the
+// bytes. The codec is chosen per request via Content-Type and Accept.
 
-// APIVersion is the versioned-path generation this server speaks: every
-// endpoint is mounted both at its legacy unversioned path and under
-// /v1/..., and /meta advertises the number so clients prefer the versioned
-// prefix — the same advertise-then-upgrade pattern the codec negotiation
-// uses. Absent (0) on pre-versioning servers.
-const APIVersion = 1
+// PathPrefix is the path prefix every endpoint is mounted under, and the
+// one every client URL in the repository is built with.
+const PathPrefix = "/v1"
 
 type metaResponse struct {
 	Name    string `json:"name"`
 	Dim     int    `json:"dim"`
 	Classes int    `json:"classes"`
-	// Codecs lists the payload codecs the server accepts ("json",
-	// "binary"). Absent on pre-codec servers — which is exactly how a new
-	// client knows to stay on JSON against an old peer.
-	Codecs []string `json:"codecs,omitempty"`
-	// APIVersion advertises the versioned path prefix (/v1) generation.
-	// Absent on pre-versioning servers — which is how a new client knows
-	// to stay on the unversioned paths against an old peer.
-	APIVersion int `json:"api_version,omitempty"`
 }
 
 // AtlasStatus is the /stats section a mounted region atlas fills in: the
@@ -85,28 +73,17 @@ type statsResponse struct {
 	// counters. A remote or temporarily unhealthy backend stays listed with
 	// state "unreachable" rather than disappearing from the report.
 	Backends []BackendStatus `json:"backends,omitempty"`
-	// Cache counters are present when the served model sits behind a
-	// ResponseCache (plmserve -cache N). Pointers keep genuine zeros visible
-	// while omitting the fields entirely on cacheless servers.
-	CacheHits      *int64 `json:"cache_hits,omitempty"`
-	CacheMisses    *int64 `json:"cache_misses,omitempty"`
-	CacheEvictions *int64 `json:"cache_evictions,omitempty"`
-	CacheSize      *int   `json:"cache_size,omitempty"`
 	// Registry is the fleet-membership section a mounted Registry fills in:
 	// live members and the join/leave/expiry transition counters.
 	Registry *RegistryStatus `json:"registry,omitempty"`
 	// Caches is the unified per-store section: every cache in the process
 	// (response cache, region cache, atlas) reports the same
 	// hits/misses/evictions/size/bytes shape under its name, so dashboards
-	// parse one schema. The legacy cache_* fields above stay for old
-	// consumers.
+	// parse one schema.
 	Caches map[string]plm.StoreStats `json:"caches,omitempty"`
 	// Atlas is the region-atlas section (plmserve -atlas).
 	Atlas *AtlasStatus `json:"atlas,omitempty"`
 }
-
-// serverCodecs is what /meta advertises.
-var serverCodecs = []string{wire.NameJSON, wire.NameBinary}
 
 // Server exposes a plm.Model over HTTP. It implements http.Handler.
 type Server struct {
@@ -144,8 +121,7 @@ type namedStoreStats struct {
 }
 
 // NewServer wraps model as an HTTP prediction service. Every endpoint —
-// including ones mounted later through Handle — answers both at its legacy
-// path and under the /v1 prefix.
+// including ones mounted later through Handle — answers under PathPrefix.
 func NewServer(model plm.Model, name string) *Server {
 	s := &Server{model: model, name: name, mux: http.NewServeMux()}
 	s.Handle("GET /meta", s.handleMeta)
@@ -181,7 +157,6 @@ func (s *Server) exchange(r *http.Request) *wire.Exchange {
 func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, metaResponse{
 		Name: s.name, Dim: s.model.Dim(), Classes: s.model.Classes(),
-		Codecs: serverCodecs, APIVersion: APIVersion,
 	})
 }
 
@@ -199,12 +174,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	model := s.model
 	if rc, ok := model.(*ResponseCache); ok {
-		hits, misses, evictions := rc.CacheStats()
-		size := rc.Len()
-		resp.CacheHits = &hits
-		resp.CacheMisses = &misses
-		resp.CacheEvictions = &evictions
-		resp.CacheSize = &size
 		addCache("response", rc.StoreStats())
 		// The replica breakdown lives behind the cache.
 		model = rc.Inner()
@@ -228,31 +197,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // Handle mounts an extra handler on the server's mux — how optional
 // subsystems (the async job API, say) attach their endpoints without the
-// core server depending on them. The handler answers at both the given
-// pattern and its /v1-prefixed alias.
+// core server depending on them. pattern is "METHOD /path"; the handler
+// answers at PathPrefix+path.
 func (s *Server) Handle(pattern string, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, h)
-	if v := versionedPattern(pattern); v != "" {
-		s.mux.HandleFunc(v, h)
-	}
-}
-
-// versionedPattern maps "METHOD /path" to "METHOD /v1/path" (or "/path" to
-// "/v1/path"), returning "" when the pattern is already versioned or has no
-// rooted path to prefix.
-func versionedPattern(pattern string) string {
 	method, path, found := strings.Cut(pattern, " ")
 	if !found {
-		method, path = "", pattern
+		panic(fmt.Sprintf("api: Handle pattern %q has no method", pattern))
 	}
-	if !strings.HasPrefix(path, "/") || path == "/" ||
-		path == "/v1" || strings.HasPrefix(path, "/v1/") {
-		return ""
-	}
-	if method == "" {
-		return "/v1" + path
-	}
-	return method + " /v1" + path
+	s.mux.HandleFunc(method+" "+PathPrefix+path, h)
 }
 
 // AddStoreStats registers a named store for the unified /stats "caches"
@@ -264,7 +216,7 @@ func (s *Server) AddStoreStats(name string, get func() plm.StoreStats) {
 // SetAtlasStatus installs the hook filling the /stats "atlas" section.
 func (s *Server) SetAtlasStatus(get func() AtlasStatus) { s.atlasStatus = get }
 
-// SetRegionSource mounts GET /regions/{key} (and its /v1 alias): the
+// SetRegionSource mounts GET /v1/regions/{key}: the
 // closed-form (W, b) of one stored region by PatternKey. Clients accepting
 // the binary codec get the PLMB framing (W frame, then B as one row —
 // bit-identical Float64bits); everyone else gets JSON. Only metadata the
@@ -283,13 +235,13 @@ func (s *Server) SetRegionSource(lookup func(key string) (*plm.Linear, bool)) {
 			rows[i] = lin.W.RawRow(i)
 		}
 		ex := s.exchange(r)
-		if bin, ok := ex.BinaryOut(); ok {
-			w.Header().Set("Content-Type", bin.ContentType())
+		if ex.BinaryOut() {
+			w.Header().Set("Content-Type", wire.ContentTypeBinary)
 			cw := ex.CountWriter(w)
-			if err := wire.WriteFrame(cw, rows, false); err != nil {
+			if err := wire.WriteFrame(cw, rows); err != nil {
 				return
 			}
-			_ = wire.WriteFrame(cw, [][]float64{lin.B}, false)
+			_ = wire.WriteFrame(cw, [][]float64{lin.B})
 			return
 		}
 		ex.WriteJSON(w, http.StatusOK, regionResponse{Key: lin.Key, W: rows, B: lin.B})
@@ -442,27 +394,16 @@ var defaultTransport = &http.Transport{
 // interpretation finishes. This keeps plm.Model's pure-math surface while
 // still surfacing failures.
 //
-// The client speaks the binary float-frame codec automatically when the
-// server's /meta advertises it, and stays on JSON otherwise — so a new
-// client against an old server interoperates without configuration.
-// SetCodec and SetFloat32 adjust the choice; call them before sharing the
-// client across goroutines.
+// The client speaks the binary float-frame codec; SetCodec switches it to
+// JSON. Call SetCodec before sharing the client across goroutines.
 type Client struct {
 	baseURL string
 	httpc   *http.Client
 	meta    metaResponse
 	retries int
-	// binary selects the frame codec for requests and the Accept header;
-	// binaryOK records whether the server advertised it.
-	binary   bool
-	binaryOK bool
-	// f32 opts this client's frames into float32 payloads — half the bytes,
-	// explicitly outside the bit-identity surface.
-	f32       bool
+	// binary selects the frame codec for requests and the Accept header.
+	binary    bool
 	wireStats wire.Stats
-	// prefix is "/v1" once the server's /meta advertised api_version >= 1,
-	// and "" against older peers — negotiated exactly like the codec.
-	prefix string
 
 	// PingTimeout bounds each Ping/PingCtx health probe so a dead host
 	// cannot stall the prober for the transport timeout. Dial sets 2s;
@@ -484,8 +425,8 @@ func Dial(baseURL string, httpc *http.Client, retries int) (*Client, error) {
 	if retries < 0 {
 		retries = 0
 	}
-	c := &Client{baseURL: baseURL, httpc: httpc, retries: retries, PingTimeout: 2 * time.Second}
-	resp, err := httpc.Get(baseURL + "/meta")
+	c := &Client{baseURL: baseURL, httpc: httpc, retries: retries, binary: true, PingTimeout: 2 * time.Second}
+	resp, err := httpc.Get(baseURL + PathPrefix + "/meta")
 	if err != nil {
 		return nil, fmt.Errorf("api: dial %s: %w", baseURL, err)
 	}
@@ -499,24 +440,8 @@ func Dial(baseURL string, httpc *http.Client, retries int) (*Client, error) {
 	if c.meta.Dim <= 0 || c.meta.Classes < 2 {
 		return nil, fmt.Errorf("api: implausible meta %+v", c.meta)
 	}
-	for _, name := range c.meta.Codecs {
-		if name == wire.NameBinary {
-			c.binary, c.binaryOK = true, true
-		}
-	}
-	if c.meta.APIVersion >= 1 {
-		c.prefix = "/v1"
-	}
 	return c, nil
 }
-
-// Prefix returns the negotiated path prefix ("/v1" against a versioned
-// server, "" otherwise). Subsystems extending the wire protocol with their
-// own endpoints (the async job client) build their paths through it.
-func (c *Client) Prefix() string { return c.prefix }
-
-// path prepends the negotiated version prefix to an endpoint path.
-func (c *Client) path(p string) string { return c.prefix + p }
 
 // Name returns the remote model's advertised name.
 func (c *Client) Name() string { return c.meta.Name }
@@ -529,11 +454,10 @@ func (c *Client) BaseURL() string { return c.baseURL }
 // endpoints against the same server.
 func (c *Client) HTTPClient() *http.Client { return c.httpc }
 
-// Codec returns the request codec the client currently speaks,
-// carrying its float32 preference.
+// Codec returns the request codec the client currently speaks.
 func (c *Client) Codec() wire.Codec {
 	if c.binary {
-		return wire.Binary{Float32: c.f32}
+		return wire.Binary{}
 	}
 	return wire.JSON{}
 }
@@ -541,27 +465,18 @@ func (c *Client) Codec() wire.Codec {
 // CodecName returns "json" or "binary".
 func (c *Client) CodecName() string { return c.Codec().Name() }
 
-// SetCodec overrides the negotiated codec: "json" always works, "binary"
-// only against a server that advertised it.
+// SetCodec selects the codec by name: "binary" (the default) or "json".
 func (c *Client) SetCodec(name string) error {
 	switch name {
 	case wire.NameJSON:
 		c.binary = false
 	case wire.NameBinary:
-		if !c.binaryOK {
-			return fmt.Errorf("api: server %s does not advertise the binary codec", c.baseURL)
-		}
 		c.binary = true
 	default:
 		return fmt.Errorf("api: unknown codec %q", name)
 	}
 	return nil
 }
-
-// SetFloat32 opts the client's binary frames into float32 payloads —
-// half the wire bytes, explicitly excluded from bit-identity guarantees.
-// A no-op on the JSON codec.
-func (c *Client) SetFloat32(on bool) { c.f32 = on }
 
 // WireCounts snapshots the client-side wire counters: payload bytes
 // shipped and received and the codec split of its requests. A shard
@@ -581,7 +496,7 @@ func (c *Client) PingCtx(ctx context.Context) error {
 		ctx, cancel = context.WithTimeout(ctx, c.PingTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/meta", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+PathPrefix+"/meta", nil)
 	if err != nil {
 		return fmt.Errorf("api: ping %s: %w", c.baseURL, err)
 	}
@@ -644,9 +559,8 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // own mistake — so those return immediately. A done context also returns
 // immediately: retrying a request whose caller is gone (deadline hit, or a
 // hedge race already won elsewhere) only burns the server. decode runs on
-// 200 responses and must consult the response's own Content-Type, so a
-// JSON answer from a codec-unaware peer decodes fine whatever the request
-// asked for.
+// 200 responses and picks its codec from the response's own Content-Type.
+// path is relative to PathPrefix.
 func (c *Client) do(ctx context.Context, path string, payload []byte, decode func(*http.Response) error) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -656,13 +570,13 @@ func (c *Client) do(ctx context.Context, path string, payload []byte, decode fun
 			}
 			return lastErr
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, bytes.NewReader(payload))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+PathPrefix+path, bytes.NewReader(payload))
 		if err != nil {
 			return fmt.Errorf("api: build request: %w", err)
 		}
 		codec := c.Codec()
 		req.Header.Set("Content-Type", codec.ContentType())
-		req.Header.Set("Accept", wire.AcceptValue(codec, c.f32))
+		req.Header.Set("Accept", codec.ContentType())
 		c.wireStats.CountRequest(c.binary)
 		c.wireStats.AddBytesOut(int64(len(payload)))
 		resp, err := c.httpc.Do(req)
@@ -738,7 +652,7 @@ func (c *Client) PredictErr(x mat.Vec) (mat.Vec, error) {
 // PredictErrCtx is PredictErr under a caller context: the request is
 // cancelled — including retries in flight — the moment the context ends.
 func (c *Client) PredictErrCtx(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	probs, err := c.postVec(ctx, c.path("/predict"), "x", x, "probs")
+	probs, err := c.postVec(ctx, "/predict", "x", x, "probs")
 	if err != nil {
 		return nil, err
 	}
@@ -776,7 +690,7 @@ func (c *Client) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, 
 	for i, x := range xs {
 		rows[i] = x
 	}
-	probs, err := c.postMat(ctx, c.path("/batch"), "xs", rows, "probs")
+	probs, err := c.postMat(ctx, "/batch", "xs", rows, "probs")
 	if err != nil {
 		return nil, err
 	}
@@ -795,7 +709,6 @@ func (c *Client) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, 
 
 var _ plm.Model = (*Client)(nil)
 var _ plm.Model = (*Counter)(nil)
-var _ plm.Model = (*Cache)(nil)
 var _ plm.Model = (*Flaky)(nil)
 var _ plm.BatchPredictor = (*Flaky)(nil)
 var _ ctxErrPredictor = (*Client)(nil)

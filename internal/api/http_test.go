@@ -166,7 +166,7 @@ func TestServerRejectsBadInput(t *testing.T) {
 		t.Fatal("bad batch accepted")
 	}
 	// Raw malformed JSON.
-	resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader("{"))
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestServerRejectsBadInput(t *testing.T) {
 		t.Fatalf("malformed JSON -> %s", resp.Status)
 	}
 	// Unknown fields rejected.
-	resp, err = http.Post(ts.URL+"/predict", "application/json", strings.NewReader(`{"x":[0,0,0,0],"extra":1}`))
+	resp, err = http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(`{"x":[0,0,0,0],"extra":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Predict(mat.Vec{0, 0, 0, 0})
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +285,8 @@ func TestRetryStopsOnClientError(t *testing.T) {
 	var attempts atomic.Int64
 	inner := NewServer(testModel(100), "strict")
 	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch strings.TrimPrefix(r.URL.Path, "/v1") {
-		case "/predict", "/batch":
+		switch r.URL.Path {
+		case "/v1/predict", "/v1/batch":
 			attempts.Add(1)
 		}
 		inner.ServeHTTP(w, r)
@@ -316,7 +316,7 @@ func TestRetryStillCoversServerErrors(t *testing.T) {
 	// 5xx stays retryable: a persistent 503 is attempted 1 + retries times.
 	var attempts atomic.Int64
 	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/predict" || r.URL.Path == "/v1/predict" {
+		if r.URL.Path == "/v1/predict" {
 			attempts.Add(1)
 			http.Error(w, "overloaded", http.StatusServiceUnavailable)
 			return
@@ -341,7 +341,7 @@ func TestEmptyBatchIsNotARoundTrip(t *testing.T) {
 	// queries, skewing the queries/round_trips ratio the integration gate
 	// reads off /stats.
 	srv, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`{"xs":[]}`))
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(`{"xs":[]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	inner := NewServer(testModel(100), "flaky-remote")
 	var failNext bool
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/predict" {
+		if r.URL.Path == "/v1/predict" {
 			failNext = !failNext
 			if failNext {
 				http.Error(w, "transient", http.StatusBadGateway)

@@ -100,7 +100,7 @@ type registerRequest struct {
 
 // registerResponse tells a registered worker its lease terms. Atlas
 // advertises that the router serves a region-atlas snapshot at
-// /atlas/snapshot, so a joining worker can pull a warm store instead of
+// /v1/atlas/snapshot, so a joining worker can pull a warm store instead of
 // starting cold — the snapshot-on-join handshake.
 type registerResponse struct {
 	TTLMillis      int64 `json:"ttl_ms"`
@@ -382,7 +382,7 @@ type FleetSession struct {
 	Logf func(format string, args ...any)
 	// OnAtlas, when set, runs after every successful registration whose
 	// lease advertises a router-side region atlas — the worker's chance to
-	// pull a warm snapshot (GET router/atlas/snapshot → atlas.Ingest).
+	// pull a warm snapshot (GET router/v1/atlas/snapshot → atlas.Ingest).
 	// Called synchronously, so keep it bounded; ingestion dedups by key,
 	// making repeat pulls after re-registration idempotent.
 	OnAtlas func(ctx context.Context)
@@ -401,13 +401,14 @@ func (fs *FleetSession) logf(format string, args ...any) {
 	}
 }
 
-// post ships one control envelope and decodes the response when out != nil.
+// post ships one control envelope to the router's path (relative to
+// PathPrefix) and decodes the response when out != nil.
 func (fs *FleetSession) post(ctx context.Context, path string, out any) (int, error) {
 	var buf bytes.Buffer
 	if err := wire.EncodeJSON(&buf, registerRequest{Addr: fs.Advertise}); err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, fs.Router+path, &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, fs.Router+PathPrefix+path, &buf)
 	if err != nil {
 		return 0, err
 	}

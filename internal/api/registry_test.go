@@ -141,7 +141,7 @@ func postControl(t *testing.T, url, path, addr string) *http.Response {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+PathPrefix+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRegistryOverHTTPWithStats(t *testing.T) {
 		t.Fatalf("registered heartbeat answered %s", resp.Status)
 	}
 
-	statsResp, err := http.Get(router.URL + "/stats")
+	statsResp, err := http.Get(router.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -161,8 +163,8 @@ func TestResponseCacheConcurrent(t *testing.T) {
 }
 
 // TestServerStatsReportsCacheCounters drives a cached, sharded server over
-// HTTP and checks the /stats reach-through: cache counters present and the
-// replica breakdown still visible behind the cache.
+// HTTP and checks the /stats reach-through: cache counters present under
+// caches.response, and the replica breakdown still visible behind the cache.
 func TestServerStatsReportsCacheCounters(t *testing.T) {
 	model := testModel(12)
 	shard, err := NewShard([]plm.Model{model, model})
@@ -187,35 +189,40 @@ func TestServerStatsReportsCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := srv.Client().Get(srv.URL + "/stats")
+	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		Queries        int64   `json:"queries"`
-		CacheHits      *int64  `json:"cache_hits"`
-		CacheMisses    *int64  `json:"cache_misses"`
-		CacheEvictions *int64  `json:"cache_evictions"`
-		CacheSize      *int    `json:"cache_size"`
-		ReplicaQueries []int64 `json:"replica_queries"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits == nil || *stats.CacheHits != 1 {
-		t.Fatalf("cache_hits = %v, want 1", stats.CacheHits)
+	var stats struct {
+		Caches         map[string]plm.StoreStats `json:"caches"`
+		ReplicaQueries []int64                   `json:"replica_queries"`
 	}
-	if stats.CacheMisses == nil || *stats.CacheMisses != 1 {
-		t.Fatalf("cache_misses = %v, want 1", stats.CacheMisses)
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
 	}
-	if stats.CacheEvictions == nil || *stats.CacheEvictions != 0 {
-		t.Fatalf("cache_evictions = %v, want 0", stats.CacheEvictions)
+	got, ok := stats.Caches["response"]
+	if !ok {
+		t.Fatalf("caches section has no response store: %s", raw)
 	}
-	if stats.CacheSize == nil || *stats.CacheSize != 1 {
-		t.Fatalf("cache_size = %v, want 1", stats.CacheSize)
+	if got.Hits != 1 || got.Misses != 1 || got.Evictions != 0 || got.Size != 1 {
+		t.Fatalf("caches.response = %+v, want hits=1 misses=1 evictions=0 size=1", got)
 	}
 	if len(stats.ReplicaQueries) != 2 {
 		t.Fatalf("replica_queries = %v, want 2 replicas behind the cache", stats.ReplicaQueries)
+	}
+	// The counters are reported once, under caches.response only.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for name := range fields {
+		if strings.HasPrefix(name, "cache_") {
+			t.Fatalf("/stats still carries the flat %s field", name)
+		}
 	}
 }

@@ -16,82 +16,18 @@ import (
 	"repro/internal/wire"
 )
 
-func TestV1AliasesMirrorLegacyPaths(t *testing.T) {
-	_, ts := newTestServer(t)
-	for _, path := range []string{"/meta", "/v1/meta", "/stats", "/v1/stats"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s answered %s", path, resp.Status)
-		}
-	}
-	// Both generations of /meta advertise the same version.
-	for _, path := range []string{"/meta", "/v1/meta"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var meta metaResponse
-		if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if meta.APIVersion != APIVersion {
-			t.Fatalf("%s advertises api_version %d, want %d", path, meta.APIVersion, APIVersion)
-		}
-	}
-}
-
 func TestClientUpgradesToVersionedPaths(t *testing.T) {
 	srv, ts := newTestServer(t)
 	c, err := Dial(ts.URL, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Prefix() != "/v1" {
-		t.Fatalf("client prefix %q against a versioned server, want /v1", c.Prefix())
-	}
-	// The upgraded paths actually serve predictions.
+	// The client's requests reach the server under PathPrefix.
 	if _, err := c.PredictErr(mat.Vec{0.1, -0.2, 0.3, 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Queries() != 1 {
 		t.Fatalf("server counted %d queries through /v1", srv.Queries())
-	}
-}
-
-func TestClientStaysUnversionedAgainstOldServer(t *testing.T) {
-	// A pre-versioning server's /meta has no api_version; the client must
-	// keep every request on the legacy paths — the advertise-then-upgrade
-	// dance that already governs codec selection.
-	var legacyPredicts atomic.Int64
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/meta":
-			wire.WriteJSON(w, http.StatusOK, map[string]any{"name": "old", "dim": 4, "classes": 3})
-		case "/predict":
-			legacyPredicts.Add(1)
-			wire.WriteJSON(w, http.StatusOK, map[string]any{"probs": []float64{1, 0, 0}})
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer old.Close()
-	c, err := Dial(old.URL, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Prefix() != "" {
-		t.Fatalf("client prefix %q against a pre-versioning server, want empty", c.Prefix())
-	}
-	if _, err := c.PredictErr(mat.Vec{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if legacyPredicts.Load() != 1 {
-		t.Fatalf("legacy /predict served %d requests, want 1", legacyPredicts.Load())
 	}
 }
 
@@ -118,23 +54,21 @@ func TestRegionSourceServesStoredClosedForm(t *testing.T) {
 		return nil, false
 	})
 
-	// JSON shape, at both path generations.
-	for _, prefix := range []string{"", "/v1"} {
-		resp, err := http.Get(ts.URL + prefix + "/regions/" + lin.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body regionResponse
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s/regions answered %s", prefix, resp.Status)
-		}
-		if body.Key != lin.Key || len(body.W) != 2 || len(body.B) != 2 {
-			t.Fatalf("region body = %+v", body)
-		}
+	// JSON shape.
+	resp, err := http.Get(ts.URL + "/v1/regions/" + lin.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body regionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/regions answered %s", resp.Status)
+	}
+	if body.Key != lin.Key || len(body.W) != 2 || len(body.B) != 2 {
+		t.Fatalf("region body = %+v", body)
 	}
 
 	// Binary clients get two PLMB frames, bit-identical to the store.
@@ -142,13 +76,13 @@ func TestRegionSourceServesStoredClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", wire.AcceptValue(wire.Binary{}, false))
-	resp, err := http.DefaultClient.Do(req)
+	req.Header.Set("Accept", wire.ContentTypeBinary)
+	bresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	fr := wire.NewFrameReader(resp.Body, wire.DefaultMaxBody)
+	defer bresp.Body.Close()
+	fr := wire.NewFrameReader(bresp.Body, wire.DefaultMaxBody)
 	gotW, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +108,7 @@ func TestRegionSourceServesStoredClosedForm(t *testing.T) {
 	}
 
 	// Misses are a 404, not a 500.
-	miss, err := http.Get(ts.URL + "/regions/plnn-3-ffffffffffffffff")
+	miss, err := http.Get(ts.URL + "/v1/regions/plnn-3-ffffffffffffffff")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +152,7 @@ func TestStatsUnifiedCachesAndAtlasSections(t *testing.T) {
 	}
 
 	// A response cache in front of the model reports under "response" in the
-	// same shape (alongside its legacy cache_* fields).
+	// same shape.
 	cached, err := NewResponseCache(testModel(200), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +160,7 @@ func TestStatsUnifiedCachesAndAtlasSections(t *testing.T) {
 	csrv := NewServer(cached, "cached")
 	cts := httptest.NewServer(csrv)
 	defer cts.Close()
-	cresp, err := http.Get(cts.URL + "/stats")
+	cresp, err := http.Get(cts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,13 @@ import (
 	"testing"
 
 	"repro/internal/mat"
-	"repro/internal/plm"
 	"repro/internal/wire"
 )
 
-// The codec interop battery: every pairing of old (JSON-only) and new
-// (binary-capable) peer must interoperate, the binary path must be
-// bit-identical to JSON, and malformed or oversized bodies must answer
-// clean 4xx statuses whatever codec they claimed to be.
+// The codec battery: the client speaks binary, a plain JSON client is still
+// served, the binary path is bit-identical to JSON, and malformed or
+// oversized bodies answer clean 4xx statuses whatever codec they claimed
+// to be.
 
 func wireProbes() []mat.Vec {
 	return []mat.Vec{
@@ -34,7 +33,7 @@ func TestClientNegotiatesBinaryAutomatically(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.CodecName() != wire.NameBinary {
-		t.Fatalf("dialed codec = %s, want binary against an advertising server", c.CodecName())
+		t.Fatalf("dialed codec = %s, want binary", c.CodecName())
 	}
 	local := testModel(100)
 	xs := wireProbes()
@@ -60,13 +59,13 @@ func TestClientNegotiatesBinaryAutomatically(t *testing.T) {
 }
 
 func TestOldJSONClientAgainstNewServer(t *testing.T) {
-	// An old peer knows nothing of codecs: bare POSTs with JSON bodies and
-	// no Accept header must behave exactly as before the codec layer.
+	// A client that knows nothing of frames: bare POSTs with JSON bodies
+	// and no Accept header are answered in JSON, bit-identically.
 	_, ts := newTestServer(t)
 	local := testModel(100)
 	x := mat.Vec{0.1, -0.2, 0.3, 0.4}
 	body, _ := json.Marshal(map[string]any{"x": x})
-	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestOldJSONClientAgainstNewServer(t *testing.T) {
 		t.Fatalf("predict returned %s", resp.Status)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("old client answered with Content-Type %q", ct)
+		t.Fatalf("JSON client answered with Content-Type %q", ct)
 	}
 	var out struct {
 		Probs []float64 `json:"probs"`
@@ -88,80 +87,6 @@ func TestOldJSONClientAgainstNewServer(t *testing.T) {
 		if math.Float64bits(out.Probs[j]) != math.Float64bits(want[j]) {
 			t.Fatalf("class %d: JSON path not bit-identical", j)
 		}
-	}
-}
-
-// legacyServer is a test double of the pre-codec server: /meta without a
-// codecs list, JSON-only bodies, Accept ignored. It is what a new client
-// must keep working against.
-func legacyServer(t *testing.T, model plm.Model) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /meta", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"name": "legacy", "dim": model.Dim(), "classes": model.Classes(),
-		})
-	})
-	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		var in struct {
-			X []float64 `json:"x"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"probs": model.Predict(mat.Vec(in.X))})
-	})
-	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		var in struct {
-			Xs [][]float64 `json:"xs"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		out := make([][]float64, len(in.Xs))
-		for i, x := range in.Xs {
-			out[i] = model.Predict(mat.Vec(x))
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"probs": out})
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
-}
-
-func TestNewClientAgainstLegacyJSONServer(t *testing.T) {
-	local := testModel(100)
-	ts := legacyServer(t, local)
-	c, err := Dial(ts.URL, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.CodecName() != wire.NameJSON {
-		t.Fatalf("codec against a non-advertising server = %s, want json", c.CodecName())
-	}
-	if err := c.SetCodec(wire.NameBinary); err == nil {
-		t.Fatal("binary codec forced onto a server that cannot parse it")
-	}
-	xs := wireProbes()
-	got, err := c.PredictBatch(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want := local.Predict(x)
-		for j := range want {
-			if math.Float64bits(got[i][j]) != math.Float64bits(want[j]) {
-				t.Fatalf("batch item %d class %d differs against legacy server", i, j)
-			}
-		}
-	}
-	if cc := c.WireCounts(); cc.JSONRequests == 0 || cc.BinaryRequests != 0 {
-		t.Fatalf("client wire counts = %+v, want json-only traffic", cc)
 	}
 }
 
@@ -191,7 +116,7 @@ func TestBatchProbsBitIdenticalAcrossCodecs(t *testing.T) {
 			}
 		}
 	}
-	// Back to binary for good measure — the server still advertises it.
+	// Back to binary for good measure.
 	if err := c.SetCodec(wire.NameBinary); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +126,7 @@ func TestMalformedBinaryRequestsAnswer400(t *testing.T) {
 	_, ts := newTestServer(t)
 	valid := func() []byte {
 		var buf bytes.Buffer
-		if err := wire.WriteFrame(&buf, [][]float64{{1, 2, 3, 4}}, false); err != nil {
+		if err := wire.WriteFrame(&buf, [][]float64{{1, 2, 3, 4}}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -215,7 +140,7 @@ func TestMalformedBinaryRequestsAnswer400(t *testing.T) {
 		"truncated payload": valid[:len(valid)-8],
 	}
 	for name, body := range cases {
-		resp, err := http.Post(ts.URL+"/predict", wire.ContentTypeBinary, bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/predict", wire.ContentTypeBinary, bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -228,7 +153,7 @@ func TestMalformedBinaryRequestsAnswer400(t *testing.T) {
 	// not a syntax error.
 	huge := append([]byte{}, valid[:16]...)
 	huge[8], huge[9], huge[10], huge[11] = 0xff, 0xff, 0xff, 0xff // rows
-	resp, err := http.Post(ts.URL+"/batch", wire.ContentTypeBinary, bytes.NewReader(huge))
+	resp, err := http.Post(ts.URL+"/v1/batch", wire.ContentTypeBinary, bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +190,7 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 		"json":   {wire.ContentTypeJSON, &jsonBody},
 		"binary": {wire.ContentTypeBinary, &binBody},
 	} {
-		resp, err := http.Post(ts.URL+"/batch", post.ct, bytes.NewReader(post.body.Bytes()))
+		resp, err := http.Post(ts.URL+"/v1/batch", post.ct, bytes.NewReader(post.body.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +201,7 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 	}
 	// A body that fits still works.
 	small, _ := json.Marshal(map[string]any{"xs": [][]float64{{1, 2, 3, 4}}})
-	resp, err := http.Post(ts.URL+"/batch", wire.ContentTypeJSON, bytes.NewReader(small))
+	resp, err := http.Post(ts.URL+"/v1/batch", wire.ContentTypeJSON, bytes.NewReader(small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +227,7 @@ func TestStatsExposeWireCounters(t *testing.T) {
 	if _, err := c.PredictErr(x); err != nil { // json
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +276,7 @@ func TestShardStatsReachThroughRemoteWireCounters(t *testing.T) {
 		xs[i] = []float64{0.1, 0.2, 0.3, 0.4}
 	}
 	body, _ := json.Marshal(map[string]any{"xs": xs})
-	resp, err := http.Post(outer.URL+"/batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(outer.URL+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +285,7 @@ func TestShardStatsReachThroughRemoteWireCounters(t *testing.T) {
 		t.Fatalf("batch answered %s", resp.Status)
 	}
 
-	sr, err := http.Get(outer.URL + "/stats")
+	sr, err := http.Get(outer.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,29 +317,5 @@ func TestShardStatsReachThroughRemoteWireCounters(t *testing.T) {
 				t.Fatalf("local backend reports wire counters %+v", *b.Wire)
 			}
 		}
-	}
-}
-
-func TestFloat32OptIn(t *testing.T) {
-	_, ts := newTestServer(t)
-	c, err := Dial(ts.URL, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetFloat32(true)
-	local := testModel(100)
-	x := mat.Vec{0.1, -0.2, 0.3, 0.4}
-	got, err := c.PredictErr(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// f32 is lossy by contract: approximately right, no bit guarantees.
-	if !got.EqualApprox(local.Predict(x), 1e-6) {
-		t.Fatalf("f32 answer %v too far from %v", got, local.Predict(x))
-	}
-	// The response really did ride 4-byte elements: 16-byte header plus
-	// classes×4 payload, as the client's received-bytes counter shows.
-	if cc := c.WireCounts(); cc.BytesIn != int64(16+4*local.Classes()) {
-		t.Fatalf("f32 response was %d bytes, want %d", cc.BytesIn, 16+4*local.Classes())
 	}
 }

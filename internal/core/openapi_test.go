@@ -348,7 +348,10 @@ func TestOpenAPIThroughQueryCache(t *testing.T) {
 	// Wrapping the model in a cache must not change results (samples are
 	// a.s. distinct, but the center is queried once only).
 	model := plnnModel(29, 4, 6, 3)
-	cached := api.NewCache(model, 0)
+	cached, err := api.NewResponseCache(model, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := New(Config{Seed: 30})
 	rng := rand.New(rand.NewSource(31))
 	x := randVec(rng, 4)

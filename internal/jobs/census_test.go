@@ -115,7 +115,7 @@ func TestCensusJobHTTPSubmit(t *testing.T) {
 
 	// JSON submit carries the budget in the body.
 	body := []byte(`{"op":"census","xs":[[0,0,0,0,0,0]],"n":16}`)
-	resp, err := c.HTTPClient().Post(c.BaseURL()+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := c.HTTPClient().Post(c.BaseURL()+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func submitOnce(ctx context.Context, c *api.Client, op string, xs []mat.Vec, n i
 	if err != nil {
 		return View{}, 0, fmt.Errorf("jobs: encode submit: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL()+c.Prefix()+"/jobs", &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL()+api.PathPrefix+"/jobs", &buf)
 	if err != nil {
 		return View{}, 0, fmt.Errorf("jobs: build submit: %w", err)
 	}
@@ -137,9 +137,7 @@ func submitOnce(ctx context.Context, c *api.Client, op string, xs []mat.Vec, n i
 	return v, 0, nil
 }
 
-// Poll fetches a job's metadata view without its results (limit=0 — an
-// older server ignores the parameter and ships them anyway, which still
-// decodes, just unpaginated).
+// Poll fetches a job's metadata view without its results (limit=0).
 func Poll(c *api.Client, id string) (View, error) {
 	return fetchPage(c, id, 0, 0)
 }
@@ -218,11 +216,7 @@ func streamBinary(c *api.Client, id, wantOp string, offset, limit int, next func
 	if err != nil {
 		return fmt.Errorf("jobs: build result fetch: %w", err)
 	}
-	f32 := false
-	if b, ok := c.Codec().(wire.Binary); ok {
-		f32 = b.Float32
-	}
-	req.Header.Set("Accept", wire.AcceptValue(c.Codec(), f32))
+	req.Header.Set("Accept", wire.ContentTypeBinary)
 	resp, err := c.HTTPClient().Do(req)
 	if err != nil {
 		return fmt.Errorf("jobs: fetch results: %w", err)
@@ -232,9 +226,8 @@ func streamBinary(c *api.Client, id, wantOp string, offset, limit int, next func
 		return respError("results", resp)
 	}
 	if ct := resp.Header.Get("Content-Type"); wire.ResponseBodyCodec(ct).Name() != wire.NameBinary {
-		// A pre-streaming server answered the legacy JSON view; the caller
-		// asked for a stream, so surface the mismatch instead of buffering
-		// the whole body behind their back.
+		// The caller asked for a stream; surface any other answer instead
+		// of buffering the whole body behind their back.
 		return fmt.Errorf("jobs: server answered %s, not a binary result stream", ct)
 	}
 	if op := resp.Header.Get(HeaderOp); op != wantOp {
@@ -329,7 +322,7 @@ func fetchPage(c *api.Client, id string, offset, limit int) (View, error) {
 // pageURL builds the GET /jobs/{id} URL with the offset/limit window
 // (limit < 0 omits the parameter: to the end).
 func pageURL(c *api.Client, id string, offset, limit int) string {
-	url := c.BaseURL() + c.Prefix() + "/jobs/" + id + "?offset=" + strconv.Itoa(offset)
+	url := c.BaseURL() + api.PathPrefix + "/jobs/" + id + "?offset=" + strconv.Itoa(offset)
 	if limit >= 0 {
 		url += "&limit=" + strconv.Itoa(limit)
 	}

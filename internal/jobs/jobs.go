@@ -520,8 +520,8 @@ func (r *Runner) handleGet(w http.ResponseWriter, req *http.Request) {
 		ex.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	if bin, ok := ex.BinaryOut(); ok {
-		r.streamView(w, ex, view, window, bin)
+	if ex.BinaryOut() {
+		r.streamView(w, ex, view, window)
 		return
 	}
 	if window.present {

@@ -222,7 +222,7 @@ func TestJobHTTPLifecycleAndHarvestDoesNotBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestJobHTTPLifecycleAndHarvestDoesNotBlock(t *testing.T) {
 	var final View
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		pr, err := http.Get(ts.URL + "/jobs/" + accepted.ID)
+		pr, err := http.Get(ts.URL + "/v1/jobs/" + accepted.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestJobHTTPLifecycleAndHarvestDoesNotBlock(t *testing.T) {
 	}
 
 	// Unknown and evicted ids answer 404, not 500.
-	pr, err := http.Get(ts.URL + "/jobs/job-9999")
+	pr, err := http.Get(ts.URL + "/v1/jobs/job-9999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestJobHTTPRejectsBadSubmit(t *testing.T) {
 		`{"op":"predict","xs":[]}`,                // empty
 		`{not json`,
 	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}

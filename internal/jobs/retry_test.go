@@ -71,7 +71,7 @@ func TestSubmitBacklogFullAnswers503WithRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(string(body)))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestSubmitCtxHonorsRetryAfter(t *testing.T) {
 	// job on the third attempt.
 	var posts atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /meta", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, req *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"name": "scripted", "dim": 6, "classes": 3})
 	})
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
 		if posts.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "2")
 			http.Error(w, "backlog full", http.StatusServiceUnavailable)
@@ -138,11 +138,11 @@ func TestSubmitCtxBoundsRetriesAndHonorsCancellation(t *testing.T) {
 	// bounded retries instead of looping, and a cancelled context aborts
 	// the wait immediately.
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /meta", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, req *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"name": "shedding", "dim": 6, "classes": 3})
 	})
 	var posts atomic.Int64
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
 		posts.Add(1)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "backlog full", http.StatusServiceUnavailable)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -79,20 +80,20 @@ func TestJSONPaginationWindow(t *testing.T) {
 	}
 
 	// A windowed fetch answers just the slice, stamped with the window.
-	page := get(c.BaseURL() + "/jobs/" + id + "?offset=3&limit=4")
+	page := get(c.BaseURL() + "/v1/jobs/" + id + "?offset=3&limit=4")
 	if page.Total != 10 || page.Offset != 3 || len(page.Probs) != 4 {
 		t.Fatalf("page = total %d offset %d rows %d, want 10/3/4", page.Total, page.Offset, len(page.Probs))
 	}
 	rowBitsEqual(t, page.Probs, full.Probs[3:7], "page")
 
 	// A window past the end is empty, not an error.
-	if past := get(c.BaseURL() + "/jobs/" + id + "?offset=50"); past.Total != 10 || len(past.Probs) != 0 {
+	if past := get(c.BaseURL() + "/v1/jobs/" + id + "?offset=50"); past.Total != 10 || len(past.Probs) != 0 {
 		t.Fatalf("past-the-end page = total %d rows %d", past.Total, len(past.Probs))
 	}
 
 	// The legacy parameterless fetch still ships everything, unstamped —
 	// exactly what a pre-pagination client expects.
-	legacy := get(c.BaseURL() + "/jobs/" + id)
+	legacy := get(c.BaseURL() + "/v1/jobs/" + id)
 	if legacy.Total != 0 || legacy.Offset != 0 {
 		t.Fatalf("legacy fetch grew window fields: total %d offset %d", legacy.Total, legacy.Offset)
 	}
@@ -100,7 +101,7 @@ func TestJSONPaginationWindow(t *testing.T) {
 
 	// Malformed windows answer 400.
 	for _, q := range []string{"?offset=-1", "?limit=-2", "?offset=abc"} {
-		resp, err := c.HTTPClient().Get(c.BaseURL() + "/jobs/" + id + q)
+		resp, err := c.HTTPClient().Get(c.BaseURL() + "/v1/jobs/" + id + q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,6 +110,48 @@ func TestJSONPaginationWindow(t *testing.T) {
 			t.Fatalf("window %s answered %s, want 400", q, resp.Status)
 		}
 	}
+}
+
+// TestHugeLimitWindowClampsToResult asks a finished job for a window whose
+// limit is math.MaxInt, on the JSON page and on the binary stream: both
+// answer the rest of the result from the offset on.
+func TestHugeLimitWindowClampsToResult(t *testing.T) {
+	model := jobModel(25)
+	r, _, c := streamServer(t, model, model, 4)
+	xs := jobProbes(rand.New(rand.NewSource(26)), 6, model.Dim())
+	id, err := r.Submit(OpPredict, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := waitDone(t, r, id)
+
+	url := c.BaseURL() + "/v1/jobs/" + id + "?offset=1&limit=" + strconv.Itoa(math.MaxInt)
+	resp, err := c.HTTPClient().Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s answered %s", url, resp.Status)
+	}
+	var page View
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		t.Fatal(err)
+	}
+	if page.Total != 6 || page.Offset != 1 {
+		t.Fatalf("page = total %d offset %d, want 6/1", page.Total, page.Offset)
+	}
+	rowBitsEqual(t, page.Probs, full.Probs[1:], "JSON page")
+
+	var streamed [][]float64
+	err = StreamProbs(c, id, 1, math.MaxInt, func(_ int, probs [][]float64) error {
+		streamed = append(streamed, probs...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowBitsEqual(t, streamed, full.Probs[1:], "binary stream")
 }
 
 func TestBinarySubmitAndStreamProbs(t *testing.T) {

@@ -29,8 +29,6 @@ import (
 //	                   one ZMM lane per A row (gemm_amd64.s)
 //	TierAVX2    amd64  dotPack4x4: 4 packed A rows × 4 B rows per call,
 //	                   one YMM lane per A row (gemm_amd64.s)
-//	TierNEON    arm64  dotPack4x4: 4 packed A rows × 4 B rows per call,
-//	                   two 2-lane vectors per A-row quad (gemm_arm64.s)
 //	TierScalar  all    pure-Go 4x2 register tiles plus a 1-row×4-col tail
 //
 // Every assembly kernel is mul-then-add on purpose — no FMA, which rounds
@@ -271,7 +269,7 @@ func parallelRows(rows, w int, work func(lo, hi int)) {
 // applies the fused epilogue to each row block as soon as its accumulator
 // chains have committed — while the block is still cache-hot. The dispatch
 // ladder runs highest active tier first (8-row AVX-512 pack, then the 4-row
-// AVX2/NEON pack, then pure-Go 4x2 register tiles, then single rows with a
+// AVX2 pack, then pure-Go 4x2 register tiles, then single rows with a
 // 4-wide column tail); lower rungs pick up the row remainders of higher
 // ones. Every schedule evaluates every output element as one ascending-k
 // mul-then-add chain, so the bits match on all of them.
@@ -320,7 +318,7 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue) {
 		}
 		putScratch(sp)
 	}
-	if tier >= TierNEON && k > 0 && n > 0 && i+4 <= i1 {
+	if tier >= TierAVX2 && k > 0 && n > 0 && i+4 <= i1 {
 		sp := getScratch(4 * k)
 		pack := (*sp)[:4*k]
 		var out [16]float64

@@ -33,10 +33,8 @@ func dotPack4x4(pack, b0, b1, b2, b3 *float64, k int, out *[16]float64)
 func dotPack8x4(pack, b0, b1, b2, b3 *float64, k int, out *[32]float64)
 
 // CPU capability of each microkernel tier on amd64; resolved once at
-// startup. NEON is an arm64 tier and never available here.
+// startup.
 var (
 	haveAVX2   = cpuHasAVX2()
 	haveAVX512 = cpuHasAVX512()
 )
-
-const haveNEON = false

@@ -1,11 +1,10 @@
-//go:build !amd64 && !arm64
+//go:build !amd64
 
 package mat
 
 // No packed microkernel on this architecture; gemmBT falls back to the
 // pure-Go register-tiled path, which computes identical bits.
 const (
-	haveNEON   = false
 	haveAVX2   = false
 	haveAVX512 = false
 )

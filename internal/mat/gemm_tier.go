@@ -18,8 +18,6 @@ type KernelTier uint8
 const (
 	// TierScalar is the pure-Go register-tiled path, available everywhere.
 	TierScalar KernelTier = iota
-	// TierNEON is the arm64 2-lane packed microkernel (gemm_arm64.s).
-	TierNEON
 	// TierAVX2 is the amd64 4-lane packed microkernel (gemm_amd64.s).
 	TierAVX2
 	// TierAVX512 is the amd64 8-lane packed microkernel (gemm_amd64.s),
@@ -31,8 +29,6 @@ func (t KernelTier) String() string {
 	switch t {
 	case TierScalar:
 		return "scalar"
-	case TierNEON:
-		return "neon"
 	case TierAVX2:
 		return "avx2"
 	case TierAVX512:
@@ -42,14 +38,12 @@ func (t KernelTier) String() string {
 }
 
 // ParseKernelTier parses a tier name as accepted by the PLM_KERNEL_TIER
-// environment variable: "scalar", "neon", "avx2" or "avx512" (case
+// environment variable: "scalar", "avx2" or "avx512" (case
 // insensitive).
 func ParseKernelTier(s string) (KernelTier, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "scalar":
 		return TierScalar, nil
-	case "neon":
-		return TierNEON, nil
 	case "avx2":
 		return TierAVX2, nil
 	case "avx512":
@@ -63,8 +57,6 @@ func tierAvailable(t KernelTier) bool {
 	switch t {
 	case TierScalar:
 		return true
-	case TierNEON:
-		return haveNEON
 	case TierAVX2:
 		return haveAVX2
 	case TierAVX512:
@@ -78,7 +70,7 @@ func tierAvailable(t KernelTier) bool {
 // every kernel it can run.
 func AvailableTiers() []KernelTier {
 	out := []KernelTier{TierScalar}
-	for _, t := range []KernelTier{TierNEON, TierAVX2, TierAVX512} {
+	for _, t := range []KernelTier{TierAVX2, TierAVX512} {
 		if tierAvailable(t) {
 			out = append(out, t)
 		}
@@ -93,8 +85,6 @@ func bestKernelTier() KernelTier {
 		return TierAVX512
 	case haveAVX2:
 		return TierAVX2
-	case haveNEON:
-		return TierNEON
 	}
 	return TierScalar
 }

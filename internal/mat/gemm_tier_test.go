@@ -22,7 +22,7 @@ func forEachTier(t *testing.T, fn func(t *testing.T, tier KernelTier)) {
 }
 
 func TestParseKernelTierRoundTrip(t *testing.T) {
-	for _, tier := range []KernelTier{TierScalar, TierNEON, TierAVX2, TierAVX512} {
+	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
 		got, err := ParseKernelTier(tier.String())
 		if err != nil || got != tier {
 			t.Fatalf("ParseKernelTier(%q) = %v, %v", tier.String(), got, err)
@@ -54,7 +54,7 @@ func TestSetKernelTierRejectsUnavailable(t *testing.T) {
 		avail[tier] = true
 	}
 	before := ActiveKernelTier()
-	for _, tier := range []KernelTier{TierScalar, TierNEON, TierAVX2, TierAVX512} {
+	for _, tier := range []KernelTier{TierScalar, TierAVX2, TierAVX512} {
 		if avail[tier] {
 			continue
 		}

@@ -141,38 +141,6 @@ func TestTieredStorePromotesAndWritesThrough(t *testing.T) {
 	}
 }
 
-func TestDeprecatedShimsStillCompile(t *testing.T) {
-	net := smallNet(t)
-	rc := NewRegionCache(net, 4)
-	p := NewCachedPLNN(net, 4)
-	m := CacheRegionModel(&PLNN{Net: net}, 4)
-	if rc == nil || p == nil || m == nil {
-		t.Fatalf("shim returned nil")
-	}
-	x := make(mat.Vec, net.InputDim())
-	for i := range x {
-		x[i] = float64(i) - 1.5
-	}
-	a, err := rc.LocalAt(x)
-	if err != nil {
-		t.Fatalf("LocalAt: %v", err)
-	}
-	b, err := p.LocalAt(x)
-	if err != nil {
-		t.Fatalf("PLNN LocalAt: %v", err)
-	}
-	if a.Key != b.Key {
-		t.Fatalf("shim paths disagree on region key")
-	}
-	var rep StoreReporter = p
-	if rep.RegionCompositions() != 1 {
-		t.Fatalf("compositions = %d, want 1", rep.RegionCompositions())
-	}
-	if st := rep.RegionStoreStats(); st.Size != 1 {
-		t.Fatalf("store stats = %+v", st)
-	}
-}
-
 func TestConcurrentTieredRegionCache(t *testing.T) {
 	net := smallNet(t)
 	back := &countingStore{m: make(map[string]*plm.Linear)}

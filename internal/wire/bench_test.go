@@ -52,11 +52,9 @@ func benchCodec(b *testing.B, codec Codec, rows int) {
 	b.ReportMetric(float64(buf.Len()), "wirebytes/op")
 }
 
-func BenchmarkWireBatchJSON_16(b *testing.B)      { benchCodec(b, JSON{}, 16) }
-func BenchmarkWireBatchJSON_256(b *testing.B)     { benchCodec(b, JSON{}, 256) }
-func BenchmarkWireBatchJSON_4096(b *testing.B)    { benchCodec(b, JSON{}, 4096) }
-func BenchmarkWireBatchBinary_16(b *testing.B)    { benchCodec(b, Binary{}, 16) }
-func BenchmarkWireBatchBinary_256(b *testing.B)   { benchCodec(b, Binary{}, 256) }
-func BenchmarkWireBatchBinary_4096(b *testing.B)  { benchCodec(b, Binary{}, 4096) }
-func BenchmarkWireBatchFloat32_256(b *testing.B)  { benchCodec(b, Binary{Float32: true}, 256) }
-func BenchmarkWireBatchFloat32_4096(b *testing.B) { benchCodec(b, Binary{Float32: true}, 4096) }
+func BenchmarkWireBatchJSON_16(b *testing.B)     { benchCodec(b, JSON{}, 16) }
+func BenchmarkWireBatchJSON_256(b *testing.B)    { benchCodec(b, JSON{}, 256) }
+func BenchmarkWireBatchJSON_4096(b *testing.B)   { benchCodec(b, JSON{}, 4096) }
+func BenchmarkWireBatchBinary_16(b *testing.B)   { benchCodec(b, Binary{}, 16) }
+func BenchmarkWireBatchBinary_256(b *testing.B)  { benchCodec(b, Binary{}, 256) }
+func BenchmarkWireBatchBinary_4096(b *testing.B) { benchCodec(b, Binary{}, 4096) }

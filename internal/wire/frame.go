@@ -12,33 +12,27 @@ import (
 //	offset  size  field
 //	0       4     magic "PLMB"
 //	4       1     version, currently 1
-//	5       1     flags — bit 0: payload elements are float32
+//	5       1     flags, must be zero
 //	6       2     reserved, must be zero
 //	8       4     rows (uint32)
 //	12      4     cols (uint32)
 //	16      …     rows·cols payload elements, row-major, little-endian
-//	              IEEE-754: 8 bytes each (float64) or 4 (float32)
+//	              IEEE-754 float64, 8 bytes each
 //
 // The dims are the length prefix: a reader knows the exact payload size
 // before touching it, which is what lets GET /jobs/{id} stream one frame
 // per result chunk with no outer envelope — the stream ends at EOF.
-// Float64 payloads carry the exact in-process bits, so the binary path is
+// The payload carries the exact in-process bits, so the binary path is
 // bit-identical to JSON (whose shortest round-trip formatting restores the
-// same bits). Float32 frames are the lossy opt-in; flags bit 0 makes every
-// frame self-describing, so a decoder never guesses the element width.
+// same bits).
 const (
 	frameMagic   = "PLMB"
 	FrameVersion = 1
 	frameHeader  = 16
-	flagFloat32  = 1 << 0
 )
 
-// Binary is the float-frame codec. Float32 selects the 4-byte payload
-// encoding for frames this value writes; decoding always honors the
-// incoming frame's own flags.
-type Binary struct {
-	Float32 bool
-}
+// Binary is the float-frame codec.
+type Binary struct{}
 
 // Name returns "binary".
 func (Binary) Name() string { return NameBinary }
@@ -47,8 +41,8 @@ func (Binary) Name() string { return NameBinary }
 func (Binary) ContentType() string { return ContentTypeBinary }
 
 // EncodeVec writes v as a 1×len(v) frame. The field name is JSON-only.
-func (b Binary) EncodeVec(w io.Writer, _ string, v []float64) error {
-	return WriteFrame(w, [][]float64{v}, b.Float32)
+func (Binary) EncodeVec(w io.Writer, _ string, v []float64) error {
+	return WriteFrame(w, [][]float64{v})
 }
 
 // DecodeVec reads one frame and requires it to be a single row.
@@ -64,8 +58,8 @@ func (Binary) DecodeVec(r io.Reader, limit int64, _ string) ([]float64, error) {
 }
 
 // EncodeMat writes m as one rows×cols frame.
-func (b Binary) EncodeMat(w io.Writer, _ string, m [][]float64) error {
-	return WriteFrame(w, m, b.Float32)
+func (Binary) EncodeMat(w io.Writer, _ string, m [][]float64) error {
+	return WriteFrame(w, m)
 }
 
 // DecodeMat reads one frame as a row list.
@@ -81,7 +75,7 @@ func (Binary) DecodeMat(r io.Reader, limit int64, _ string) ([][]float64, error)
 }
 
 // WriteFrame writes m as one binary frame. All rows must share a width.
-func WriteFrame(w io.Writer, m [][]float64, f32 bool) error {
+func WriteFrame(w io.Writer, m [][]float64) error {
 	rows := len(m)
 	cols := 0
 	if rows > 0 {
@@ -98,28 +92,15 @@ func WriteFrame(w io.Writer, m [][]float64, f32 bool) error {
 	var hdr [frameHeader]byte
 	copy(hdr[:4], frameMagic)
 	hdr[4] = FrameVersion
-	if f32 {
-		hdr[5] = flagFloat32
-	}
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(rows))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(cols))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	elem := 8
-	if f32 {
-		elem = 4
-	}
-	buf := make([]byte, cols*elem)
+	buf := make([]byte, 8*cols)
 	for _, row := range m {
-		if f32 {
-			for j, v := range row {
-				binary.LittleEndian.PutUint32(buf[4*j:], math.Float32bits(float32(v)))
-			}
-		} else {
-			for j, v := range row {
-				binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-			}
+		for j, v := range row {
+			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
 		}
 		if _, err := w.Write(buf); err != nil {
 			return err
@@ -174,23 +155,18 @@ func readFrame(lr *limited) ([][]float64, error) {
 	if hdr[4] != FrameVersion {
 		return nil, fmt.Errorf("wire: unsupported frame version %d", hdr[4])
 	}
-	if hdr[5]&^byte(flagFloat32) != 0 {
+	if hdr[5] != 0 {
 		return nil, fmt.Errorf("wire: unknown frame flags %#x", hdr[5])
 	}
 	if hdr[6] != 0 || hdr[7] != 0 {
 		return nil, fmt.Errorf("wire: nonzero reserved frame bytes")
 	}
-	f32 := hdr[5]&flagFloat32 != 0
 	rows := int64(binary.LittleEndian.Uint32(hdr[8:]))
 	cols := int64(binary.LittleEndian.Uint32(hdr[12:]))
-	elem := int64(8)
-	if f32 {
-		elem = 4
-	}
 	// Admission control before any allocation: the declared payload — with
 	// every row costing at least one byte, so a zero-col frame cannot claim
 	// four billion rows for free — must fit the remaining budget.
-	perRow := cols * elem
+	perRow := 8 * cols
 	if perRow == 0 {
 		perRow = 1
 	}
@@ -203,20 +179,14 @@ func readFrame(lr *limited) ([][]float64, error) {
 		return nil, fmt.Errorf("wire: frame declares %dx%d payload: %w", rows, cols, ErrTooLarge)
 	}
 	out := make([][]float64, rows)
-	buf := make([]byte, cols*elem)
+	buf := make([]byte, 8*cols)
 	for i := range out {
 		if _, err := io.ReadFull(lr, buf); err != nil {
 			return nil, fmt.Errorf("wire: read frame payload row %d: %w", i, lr.sticky(noEOF(err)))
 		}
 		row := make([]float64, cols)
-		if f32 {
-			for j := range row {
-				row[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
-			}
-		} else {
-			for j := range row {
-				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-			}
+		for j := range row {
+			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
 		}
 		out[i] = row
 	}

@@ -98,7 +98,7 @@ func NewExchange(r *http.Request, stats *Stats, limit int64) *Exchange {
 
 // requestCodec picks the body codec from Content-Type. Anything but the
 // frame type — including absent or malformed values — is treated as JSON,
-// matching the pre-codec server, which never inspected the header.
+// so a client that never sets the header is still understood.
 func requestCodec(r *http.Request) Codec {
 	if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && mt == ContentTypeBinary {
 		return Binary{}
@@ -107,16 +107,14 @@ func requestCodec(r *http.Request) Codec {
 }
 
 // responseCodec picks the response codec from Accept: the frame type
-// anywhere in the list selects binary (with its optional prec=f32
-// parameter); everything else — absent, */*, unparsable — falls back to
-// JSON. An old client never sees a frame it did not ask for.
+// anywhere in the list selects binary; everything else — absent, */*,
+// unparsable — falls back to JSON. A client never sees a frame it did not
+// ask for.
 func responseCodec(r *http.Request) Codec {
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, params, err := mime.ParseMediaType(strings.TrimSpace(part))
-		if err != nil || mt != ContentTypeBinary {
-			continue
+		if mt, _, err := mime.ParseMediaType(strings.TrimSpace(part)); err == nil && mt == ContentTypeBinary {
+			return Binary{}
 		}
-		return Binary{Float32: params["prec"] == "f32"}
 	}
 	return JSON{}
 }
@@ -126,12 +124,8 @@ func responseCodec(r *http.Request) Codec {
 // submit op, say) need to branch on.
 func (e *Exchange) BinaryIn() bool { return e.in.Name() == NameBinary }
 
-// BinaryOut returns the response frame codec when the client asked for
-// one, carrying the negotiated float32 preference.
-func (e *Exchange) BinaryOut() (Binary, bool) {
-	b, ok := e.out.(Binary)
-	return b, ok
-}
+// BinaryOut reports whether the client asked for a frame response.
+func (e *Exchange) BinaryOut() bool { return e.out.Name() == NameBinary }
 
 // body wraps the request body so consumed bytes land in the stats.
 func (e *Exchange) body() io.Reader {

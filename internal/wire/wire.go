@@ -3,25 +3,21 @@
 // matrices, async job submissions and their streamed results — is encoded
 // and decoded here, by exactly one of two codecs:
 //
-//   - JSON, the legacy envelope every peer understands ({"x":[...]},
+//   - JSON, the envelope any HTTP client can speak ({"x":[...]},
 //     {"xs":[[...]]}, {"probs":[...]}), and
 //   - Binary, a length-prefixed little-endian float frame (see frame.go)
 //     that carries the same payloads at 8 bytes per float64 instead of
-//     ~18 characters, with an opt-in float32 mode at 4.
+//     ~18 characters.
 //
-// Codec choice is negotiated per request with standard HTTP content
-// negotiation: the request body's codec is named by Content-Type, the
-// desired response codec by Accept, and anything unrecognized falls back
-// to JSON — so an old JSON-only peer on either end of the connection keeps
-// working unchanged. Servers advertise `"codecs":["json","binary"]` in
-// /meta; clients only switch to binary after seeing the advertisement, so
-// a binary frame is never shipped to a server that cannot parse it.
+// Codec choice is per request, by standard HTTP content negotiation: the
+// request body's codec is named by Content-Type, the desired response codec
+// by Accept, and anything unrecognized falls back to JSON — so a client
+// that knows nothing of frames still gets JSON answers. The repository's
+// own client speaks binary.
 //
-// Decoding is bit-identical across codecs for float64 payloads: the binary
-// frame carries the exact IEEE-754 bits, and encoding/json's shortest
-// round-trip float formatting restores the same bits on the JSON path.
-// Float32 frames are a lossy, per-request opt-in and are excluded from the
-// bit-identity surface.
+// Decoding is bit-identical across codecs: the binary frame carries the
+// exact IEEE-754 bits, and encoding/json's shortest round-trip float
+// formatting restores the same bits on the JSON path.
 package wire
 
 import (
@@ -35,14 +31,13 @@ import (
 
 // Content types spoken on the wire.
 const (
-	// ContentTypeJSON is the legacy codec every peer understands.
+	// ContentTypeJSON is the JSON envelope codec.
 	ContentTypeJSON = "application/json"
-	// ContentTypeBinary is the float-frame codec. An Accept value may carry
-	// a `prec=f32` parameter to request float32 payload frames.
+	// ContentTypeBinary is the float-frame codec.
 	ContentTypeBinary = "application/x-plm-frame"
 )
 
-// Codec names, as advertised by the server's /meta "codecs" list.
+// Codec names, as accepted by api.Client.SetCodec.
 const (
 	NameJSON   = "json"
 	NameBinary = "binary"
@@ -72,8 +67,8 @@ type Codec interface {
 	DecodeMat(r io.Reader, limit int64, field string) ([][]float64, error)
 }
 
-// JSON is the legacy codec: one-field envelopes, exactly the wire format
-// the server spoke before the codec layer existed.
+// JSON is the envelope codec: one field per payload, the format any HTTP
+// client can produce without knowing the frame layout.
 type JSON struct{}
 
 // Name returns "json".
@@ -199,19 +194,6 @@ func DecodeStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-// AcceptValue returns the Accept header a client sends to request
-// responses in codec c; f32 additionally asks for float32 payload frames
-// (meaningful only with the binary codec).
-func AcceptValue(c Codec, f32 bool) string {
-	if c.Name() == NameBinary {
-		if f32 {
-			return ContentTypeBinary + ";prec=f32"
-		}
-		return ContentTypeBinary
-	}
-	return ContentTypeJSON
 }
 
 // ResponseBodyCodec returns the codec matching a response's Content-Type.

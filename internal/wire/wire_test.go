@@ -105,7 +105,7 @@ func TestJSONDecodeRejectsWrongEnvelope(t *testing.T) {
 
 func TestDecodeVecRejectsMultiRowFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, [][]float64{{1}, {2}}, false); err != nil {
+	if err := WriteFrame(&buf, [][]float64{{1}, {2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := (Binary{}).DecodeVec(&buf, 0, ""); err == nil {
@@ -114,36 +114,8 @@ func TestDecodeVecRejectsMultiRowFrame(t *testing.T) {
 }
 
 func TestWriteFrameRejectsRaggedRows(t *testing.T) {
-	if err := WriteFrame(io.Discard, [][]float64{{1, 2}, {3}}, false); err == nil {
+	if err := WriteFrame(io.Discard, [][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged frame written")
-	}
-}
-
-func TestFloat32FramesAreHalfTheBytesAndSelfDescribing(t *testing.T) {
-	row := []float64{1.5, -0.25, 1.0 / 3.0}
-	var f64, f32 bytes.Buffer
-	if err := WriteFrame(&f64, [][]float64{row}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&f32, [][]float64{row}, true); err != nil {
-		t.Fatal(err)
-	}
-	if want := frameHeader + 8*len(row); f64.Len() != want {
-		t.Fatalf("f64 frame is %d bytes, want %d", f64.Len(), want)
-	}
-	if want := frameHeader + 4*len(row); f32.Len() != want {
-		t.Fatalf("f32 frame is %d bytes, want %d", f32.Len(), want)
-	}
-	// Decoding honors the frame's own flag, not the decoder's preference,
-	// and the payload is the float32 rounding of the source values.
-	got, err := ReadFrame(&f32, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, v := range row {
-		if want := float64(float32(v)); got[0][j] != want {
-			t.Fatalf("f32 element %d = %v, want %v", j, got[0][j], want)
-		}
 	}
 }
 
@@ -166,6 +138,7 @@ func TestReadFrameRejectsMalformedHeaders(t *testing.T) {
 		"bad magic":        frameBytes("NOPE", FrameVersion, 0, [2]byte{}, 1, 1, eight),
 		"bad version":      frameBytes(frameMagic, 9, 0, [2]byte{}, 1, 1, eight),
 		"unknown flags":    frameBytes(frameMagic, FrameVersion, 0x80, [2]byte{}, 1, 1, eight),
+		"float32 flag":     frameBytes(frameMagic, FrameVersion, 0x01, [2]byte{}, 1, 2, eight),
 		"nonzero reserved": frameBytes(frameMagic, FrameVersion, 0, [2]byte{1, 0}, 1, 1, eight),
 		"truncated header": []byte(frameMagic + "\x01"),
 		"truncated body":   frameBytes(frameMagic, FrameVersion, 0, [2]byte{}, 2, 3, eight),
@@ -216,7 +189,7 @@ func TestFrameReaderStreamsUnderOneBudget(t *testing.T) {
 	var buf bytes.Buffer
 	frames := [][][]float64{{{1, 2}}, {{3, 4}, {5, 6}}, {}}
 	for _, m := range frames {
-		if err := WriteFrame(&buf, m, false); err != nil {
+		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,8 +214,8 @@ func TestFrameReaderStreamsUnderOneBudget(t *testing.T) {
 	// The budget spans the whole stream: a second frame that would fit on
 	// its own is refused once the first has spent the allowance.
 	buf.Reset()
-	_ = WriteFrame(&buf, [][]float64{awkwardFloats}, false)
-	_ = WriteFrame(&buf, [][]float64{awkwardFloats}, false)
+	_ = WriteFrame(&buf, [][]float64{awkwardFloats})
+	_ = WriteFrame(&buf, [][]float64{awkwardFloats})
 	fr = NewFrameReader(&buf, int64(frameHeader+8*len(awkwardFloats)+frameHeader))
 	if _, err := fr.Next(); err != nil {
 		t.Fatal(err)
@@ -286,16 +259,15 @@ func TestNegotiation(t *testing.T) {
 		name                string
 		contentType, accept string
 		wantIn, wantOut     string
-		wantF32             bool
 	}{
-		{"absent headers", "", "", NameJSON, NameJSON, false},
-		{"legacy json", ContentTypeJSON, ContentTypeJSON, NameJSON, NameJSON, false},
-		{"binary both ways", ContentTypeBinary, ContentTypeBinary, NameBinary, NameBinary, false},
-		{"binary in accept list", ContentTypeJSON, "text/html, " + ContentTypeBinary + ", */*", NameJSON, NameBinary, false},
-		{"f32 parameter", ContentTypeBinary, ContentTypeBinary + ";prec=f32", NameBinary, NameBinary, true},
-		{"wildcard stays json", ContentTypeJSON, "*/*", NameJSON, NameJSON, false},
-		{"garbage headers", "not/a;;;type", ";;;", NameJSON, NameJSON, false},
-		{"charset parameter", ContentTypeJSON + "; charset=utf-8", "", NameJSON, NameJSON, false},
+		{"absent headers", "", "", NameJSON, NameJSON},
+		{"json both ways", ContentTypeJSON, ContentTypeJSON, NameJSON, NameJSON},
+		{"binary both ways", ContentTypeBinary, ContentTypeBinary, NameBinary, NameBinary},
+		{"binary in accept list", ContentTypeJSON, "text/html, " + ContentTypeBinary + ", */*", NameJSON, NameBinary},
+		{"media type parameter ignored", ContentTypeBinary, ContentTypeBinary + ";q=0.9", NameBinary, NameBinary},
+		{"wildcard stays json", ContentTypeJSON, "*/*", NameJSON, NameJSON},
+		{"garbage headers", "not/a;;;type", ";;;", NameJSON, NameJSON},
+		{"charset parameter", ContentTypeJSON + "; charset=utf-8", "", NameJSON, NameJSON},
 	}
 	for _, tc := range cases {
 		ex := NewExchange(req(tc.contentType, tc.accept), nil, 0)
@@ -305,25 +277,28 @@ func TestNegotiation(t *testing.T) {
 		if got := ex.out.Name(); got != tc.wantOut {
 			t.Fatalf("%s: response codec %s, want %s", tc.name, got, tc.wantOut)
 		}
-		bin, ok := ex.BinaryOut()
-		if ok != (tc.wantOut == NameBinary) || bin.Float32 != tc.wantF32 {
-			t.Fatalf("%s: BinaryOut = %+v %v, want f32=%v", tc.name, bin, ok, tc.wantF32)
+		if got := ex.BinaryOut(); got != (tc.wantOut == NameBinary) {
+			t.Fatalf("%s: BinaryOut = %v", tc.name, got)
 		}
 	}
 }
 
 func TestAcceptValueAndResponseBodyCodec(t *testing.T) {
-	if got := AcceptValue(JSON{}, true); got != ContentTypeJSON {
-		t.Fatalf("json accept = %q", got)
+	// A client's Accept value is its codec's own content type; the server
+	// answers in that codec and the client decodes by the response's
+	// Content-Type.
+	for _, c := range []Codec{JSON{}, Binary{}} {
+		r := httptest.NewRequest(http.MethodPost, "/predict", nil)
+		r.Header.Set("Accept", c.ContentType())
+		if got := responseCodec(r).Name(); got != c.Name() {
+			t.Fatalf("Accept %q negotiated %s, want %s", c.ContentType(), got, c.Name())
+		}
+		if got := ResponseBodyCodec(c.ContentType()).Name(); got != c.Name() {
+			t.Fatalf("content type %q decoded as %s, want %s", c.ContentType(), got, c.Name())
+		}
 	}
-	if got := AcceptValue(Binary{}, false); got != ContentTypeBinary {
-		t.Fatalf("binary accept = %q", got)
-	}
-	if got := AcceptValue(Binary{}, true); got != ContentTypeBinary+";prec=f32" {
-		t.Fatalf("f32 accept = %q", got)
-	}
-	if got := ResponseBodyCodec(ContentTypeBinary + "; prec=f32").Name(); got != NameBinary {
-		t.Fatalf("frame content type decoded as %s", got)
+	if got := ResponseBodyCodec(ContentTypeBinary + "; charset=binary").Name(); got != NameBinary {
+		t.Fatalf("frame content type with a parameter decoded as %s", got)
 	}
 	for _, ct := range []string{"", ContentTypeJSON, "text/plain", "garbage;;;"} {
 		if got := ResponseBodyCodec(ct).Name(); got != NameJSON {
