@@ -9,8 +9,6 @@
 package api
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -199,27 +197,3 @@ func (b *Budget) Remaining() int64 {
 func (b *Budget) Exhausted() bool { return b.max > 0 && b.used.Load() > b.max }
 
 var _ plm.Model = (*Budget)(nil)
-
-// Validate checks that a model behaves like a probability oracle on a probe
-// input: correct output length, non-negative entries, sum ≈ 1. Useful as a
-// handshake before running a long interpretation job against a remote.
-func Validate(m plm.Model, probe mat.Vec) error {
-	if len(probe) != m.Dim() {
-		return fmt.Errorf("api: probe length %d != model dim %d", len(probe), m.Dim())
-	}
-	p := m.Predict(probe)
-	if len(p) != m.Classes() {
-		return fmt.Errorf("api: model returned %d probabilities, want %d", len(p), m.Classes())
-	}
-	var sum float64
-	for i, v := range p {
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("api: probability %d is %v", i, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("api: probabilities sum to %v", sum)
-	}
-	return nil
-}

@@ -168,22 +168,3 @@ func TestFlakyNilRNGDefaults(t *testing.T) {
 		t.Fatalf("nil-RNG default not deterministic: %d vs %d failures", f1.Failures(), g1.Failures())
 	}
 }
-
-func TestValidate(t *testing.T) {
-	m := testModel(10)
-	if err := Validate(m, mat.Vec{0.1, 0.2, 0.3, 0.4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(m, mat.Vec{0.1}); err == nil {
-		t.Fatal("wrong probe length accepted")
-	}
-	if err := Validate(badModel{}, mat.Vec{0}); err == nil {
-		t.Fatal("non-probability model accepted")
-	}
-}
-
-type badModel struct{}
-
-func (badModel) Predict(mat.Vec) mat.Vec { return mat.Vec{0.9, 0.9} }
-func (badModel) Dim() int                { return 1 }
-func (badModel) Classes() int            { return 2 }

@@ -23,13 +23,15 @@ import (
 // completion for nobody). Local backends are pure compute and only check
 // the context between probes; remote ones thread it into the HTTP request.
 //
-// Implementations must be safe for concurrent use; the shard dispatches
-// chunks to one backend from at most one goroutine at a time, but single
-// predictions, hedged duplicates and /stats reads interleave freely.
+// Implementations must be safe for concurrent use: concurrent requests,
+// hedged duplicates and /stats reads interleave freely.
 type Backend interface {
-	// Predict answers one probe.
+	// Predict answers one probe. The shard never calls it — every request,
+	// a single probe included, reaches a backend through PredictBatch — but
+	// direct callers of a backend still use it.
 	Predict(ctx context.Context, x mat.Vec) (mat.Vec, error)
-	// PredictBatch answers a batch of probes, one output per input.
+	// PredictBatch answers a batch of probes, one output per input. It is
+	// the only method the shard routes through.
 	PredictBatch(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error)
 	// Stats describes the backend: kind, name and model shape. The shape is
 	// what NewShardBackends validates replica interchangeability against.
@@ -63,7 +65,7 @@ type BackendStatus struct {
 	// Retries counts chunks re-dispatched to another backend after this one
 	// failed them.
 	Retries int64 `json:"retries"`
-	// Failures counts calls (chunk, single or recovery probe) that errored.
+	// Failures counts calls (chunk or recovery probe) that errored.
 	Failures int64 `json:"failures"`
 	// Hedges counts speculative duplicate dispatches launched because this
 	// backend sat on a chunk past its hedge threshold.

@@ -197,8 +197,8 @@ func TestPredictAnswersErrorWhenAllBackendsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PredictErr(mat.Vec{1, 0, 0, 0}); err == nil {
-		t.Fatal("all backends dead, PredictErr succeeded")
+	if _, err := s.PredictBatch([]mat.Vec{{1, 0, 0, 0}}); err == nil {
+		t.Fatal("all backends dead, a one-row batch succeeded")
 	}
 	cached, err := NewResponseCache(s, 8)
 	if err != nil {

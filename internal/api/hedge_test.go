@@ -12,8 +12,7 @@ import (
 )
 
 // hangingBackend blocks every batch until its context is cancelled — a
-// worker that accepted the request and went silent. Singles answer normally
-// so routing tests can still warm it up.
+// worker that accepted the request and went silent.
 type hangingBackend struct {
 	Backend
 	hung atomic.Int64 // batches currently parked
@@ -71,6 +70,62 @@ func TestShardHedgeRescuesHangingBackend(t *testing.T) {
 	}
 	if status["good"].HedgeWins == 0 {
 		t.Fatalf("healthy backend recorded no hedge wins: %+v", status)
+	}
+	if status["hang"].State != "ok" || status["hang"].Failures != 0 {
+		t.Fatalf("losing a hedge race quarantined the backend: %+v", status["hang"])
+	}
+}
+
+func TestShardHedgesSingleProbe(t *testing.T) {
+	// A single probe is a one-row batch and takes the same dispatch path,
+	// so hedging covers it too: a probe seeded on a hanging backend is
+	// raced onto the peer past the hedge threshold, and the peer's answer
+	// wins bit-identically. Rotation seeds every other probe on the hang.
+	single := testModel(606)
+	hang := &hangingBackend{Backend: NewLocalBackend(testModel(606), "hang")}
+	s, err := NewShardBackends([]Backend{
+		hang,
+		NewLocalBackend(testModel(606), "good"),
+	}, ShardConfig{Hedge: true, HedgeMin: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := shardProbes(4)
+	done := make(chan error, 1)
+	got := make([]mat.Vec, len(xs))
+	go func() {
+		for i, x := range xs {
+			ys, err := s.PredictBatch([]mat.Vec{x})
+			if err != nil {
+				done <- err
+				return
+			}
+			got[i] = ys[0]
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a single probe seeded on the hanging backend was never hedged")
+	}
+	for i, x := range xs {
+		if want := single.Predict(x); !got[i].EqualApprox(want, 0) {
+			t.Fatalf("probe %d: %v != %v", i, got[i], want)
+		}
+	}
+	status := map[string]BackendStatus{}
+	for _, st := range s.BackendStatus() {
+		status[st.Name] = st
+	}
+	if status["hang"].Hedges != 2 || status["good"].HedgeWins != 2 {
+		t.Fatalf("want 2 hedges off the hang, both won by the peer: %+v", status)
+	}
+	if status["good"].Queries != 4 || status["hang"].Queries != 0 {
+		t.Fatalf("queries good/hang = %d/%d, want 4/0", status["good"].Queries, status["hang"].Queries)
 	}
 	if status["hang"].State != "ok" || status["hang"].Failures != 0 {
 		t.Fatalf("losing a hedge race quarantined the backend: %+v", status["hang"])
@@ -165,28 +220,20 @@ func TestShardCallerCancellationDoesNotPoisonQuarantine(t *testing.T) {
 		t.Fatalf("caller cancellation poisoned quarantine accounting: %+v", st)
 	}
 
-	// Same rule on the single-prediction path.
+	// Same rule for a single probe, a one-row batch.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel2()
-	blocked := &ctxWaitBackend{Backend: NewLocalBackend(testModel(602), "wait")}
+	blocked := &hangingBackend{Backend: NewLocalBackend(testModel(602), "wait")}
 	s2, err := NewShardBackends([]Backend{blocked}, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.PredictErrCtx(ctx2, mat.Vec{0.1, 0.2, 0.3, 0.4}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s2.PredictBatchCtx(ctx2, []mat.Vec{{0.1, 0.2, 0.3, 0.4}}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled single returned %v, want DeadlineExceeded", err)
 	}
 	if st := s2.BackendStatus()[0]; st.State != "ok" || st.Failures != 0 {
 		t.Fatalf("cancelled single poisoned quarantine accounting: %+v", st)
 	}
-}
-
-// ctxWaitBackend parks singles until the caller's context dies.
-type ctxWaitBackend struct{ Backend }
-
-func (b *ctxWaitBackend) Predict(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
 }
 
 func TestShardRemoveBackendDrainsInFlightChunks(t *testing.T) {
@@ -248,7 +295,7 @@ func TestShardDynamicMembershipBitIdentical(t *testing.T) {
 	if _, err := s.PredictBatch(shardProbes(4)); err == nil {
 		t.Fatal("empty shard served a batch")
 	}
-	if _, err := s.PredictErr(mat.Vec{1, 0, 0, 0}); err == nil {
+	if _, err := s.PredictBatch([]mat.Vec{{1, 0, 0, 0}}); err == nil {
 		t.Fatal("empty shard served a single")
 	}
 	if err := s.AddBackend(NewLocalBackend(testModel(604), "a")); err != nil {
@@ -291,7 +338,8 @@ func TestShardDynamicMembershipBitIdentical(t *testing.T) {
 func TestShardFlappingUnderHedgeLoadConverges(t *testing.T) {
 	// The satellite's -race gate: concurrent hedged batches against a
 	// flapping backend must all come back bit-identical and in order, and
-	// once the flapping stops the fleet serves cleanly again.
+	// once the flapping stops the fleet serves cleanly again. Odd callers
+	// send single probes (one-row batches), which share the dispatch path.
 	single := testModel(605)
 	flaky := &scriptedBackend{Backend: NewLocalBackend(testModel(605), "flaky")}
 	s, err := NewShardBackends([]Backend{
@@ -321,7 +369,11 @@ func TestShardFlappingUnderHedgeLoadConverges(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			xs := make([]mat.Vec, perCaller)
+			n := perCaller
+			if g%2 == 1 {
+				n = 1
+			}
+			xs := make([]mat.Vec, n)
 			for i := range xs {
 				xs[i] = mat.Vec{float64(g) / callers, float64(i) / perCaller, 0.1, -0.1}
 			}

@@ -27,6 +27,11 @@ import (
 // Only probabilities cross the wire — never parameters — so the server side
 // is a faithful stand-in for the cloud APIs the paper targets.
 //
+// Both prediction endpoints reach the model the same way: /predict is a
+// one-row batch, so a probe takes one routing path behind the server —
+// response cache, shard failover, hedging and cancellation — however many
+// rows it travels with.
+//
 // Payload encoding is pluggable (internal/wire): the JSON envelopes above
 // serve any HTTP client, and the binary float-frame codec ships the same
 // payloads as length-prefixed little-endian frames at a fraction of the
@@ -269,52 +274,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.Latency > 0 {
 		time.Sleep(s.Latency)
 	}
-	// Models with an error surface (a Shard whose backends are all gone,
-	// say) answer 5xx rather than fabricating probabilities — and like a
-	// failed batch, a failed prediction delivered nothing, so it is not
-	// counted. Context-aware models additionally see the request context, so
-	// a client that hangs up cancels its own fan-out.
-	var probs mat.Vec
-	switch m := s.model.(type) {
-	case ctxErrPredictor:
-		p, err := m.PredictErrCtx(r.Context(), mat.Vec(x))
-		if err != nil {
-			ex.Error(w, http.StatusInternalServerError, err)
-			return
-		}
-		probs = p
-	case errPredictor:
-		p, err := m.PredictErr(mat.Vec(x))
-		if err != nil {
-			ex.Error(w, http.StatusInternalServerError, err)
-			return
-		}
-		probs = p
-	default:
-		probs = s.model.Predict(mat.Vec(x))
+	// A failed prediction (a Shard whose backends are all gone, say)
+	// answers 5xx rather than fabricating probabilities, and like a failed
+	// batch it delivered nothing, so it is not counted.
+	ys, err := predictBatch(r.Context(), s.model, []mat.Vec{mat.Vec(x)})
+	if err != nil {
+		ex.Error(w, http.StatusInternalServerError, err)
+		return
 	}
 	s.requests.Add(1)
 	s.queries.Add(1)
-	ex.WriteVec(w, "probs", probs)
-}
-
-// errPredictor is the optional single-prediction error surface (Client,
-// Shard, ResponseCache): Predict with failures made visible instead of
-// degraded into a uniform answer.
-type errPredictor interface {
-	PredictErr(x mat.Vec) (mat.Vec, error)
-}
-
-// ctxErrPredictor is the deadline-aware refinement of errPredictor: the
-// server hands the request context down so a caller timeout cancels the
-// shard fan-out behind the endpoint.
-type ctxErrPredictor interface {
-	PredictErrCtx(ctx context.Context, x mat.Vec) (mat.Vec, error)
+	ex.WriteVec(w, "probs", ys[0])
 }
 
 // ctxBatchPredictor is the deadline-aware refinement of plm.BatchPredictor.
 type ctxBatchPredictor interface {
 	PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error)
+}
+
+// predictBatch answers xs through m's context-aware batch method when it
+// has one — so a caller timeout cancels the fan-out behind it — and
+// through predictAllErr otherwise. It is the one model call behind both
+// /predict and /batch.
+func predictBatch(ctx context.Context, m plm.Model, xs []mat.Vec) ([]mat.Vec, error) {
+	if cb, ok := m.(ctxBatchPredictor); ok {
+		return cb.PredictBatchCtx(ctx, xs)
+	}
+	return predictAllErr(m, xs)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -351,14 +337,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// per-probe evaluation. Count only after it succeeds: a failed batch
 	// delivered zero answers, and counting it (times the client's 5xx
 	// retries) would skew the queries/round_trips ratio like any other
-	// rejected request. Context-aware models see the request context so a
-	// hung-up client cancels the fan-out instead of burning backends.
-	var ys []mat.Vec
-	if cb, ok := s.model.(ctxBatchPredictor); ok {
-		ys, err = cb.PredictBatchCtx(r.Context(), xs)
-	} else {
-		ys, err = predictAllErr(s.model, xs)
-	}
+	// rejected request.
+	ys, err := predictBatch(r.Context(), s.model, xs)
 	if err != nil {
 		ex.Error(w, http.StatusInternalServerError, err)
 		return
@@ -711,5 +691,4 @@ var _ plm.Model = (*Client)(nil)
 var _ plm.Model = (*Counter)(nil)
 var _ plm.Model = (*Flaky)(nil)
 var _ plm.BatchPredictor = (*Flaky)(nil)
-var _ ctxErrPredictor = (*Client)(nil)
 var _ ctxBatchPredictor = (*Client)(nil)

@@ -230,18 +230,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestValidateOverHTTP(t *testing.T) {
-	// End to end: the handshake validator works through the remote client.
-	_, ts := newTestServer(t)
-	c, err := Dial(ts.URL, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(c, mat.Vec{0.1, 0.2, 0.3, 0.4}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestServerSurvivesConcurrentClients(t *testing.T) {
 	// Interpreters hammer the service; predictions are read-only so the
 	// server must be race-free under parallel load (run with -race).

@@ -113,55 +113,16 @@ func (rc *ResponseCache) insert(key string, p mat.Vec) {
 	}
 }
 
-// PredictErr serves from the cache when possible, otherwise forwards —
-// through the inner model's own error surface when it has one, so a shard
-// outage behind the cache reaches the server as an error (and is not
-// cached) instead of being memoized as a fabricated answer.
-func (rc *ResponseCache) PredictErr(x mat.Vec) (mat.Vec, error) {
-	return rc.PredictErrCtx(context.Background(), x)
-}
-
-// PredictErrCtx is PredictErr with the caller's context threaded through to
-// a context-aware inner model — the cache must not be the layer where a
-// deadline stops propagating. Hits never consult the context: a cached
-// answer is free.
-func (rc *ResponseCache) PredictErrCtx(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	key := cacheKey(x)
-	if p, ok := rc.lookup(key); ok {
-		rc.hits.Add(1)
-		return p.Clone(), nil
-	}
-	rc.misses.Add(1)
-	var p mat.Vec
-	switch ep := rc.inner.(type) {
-	case ctxErrPredictor:
-		got, err := ep.PredictErrCtx(ctx, x)
-		if err != nil {
-			return nil, err
-		}
-		p = got
-	case errPredictor:
-		got, err := ep.PredictErr(x)
-		if err != nil {
-			return nil, err
-		}
-		p = got
-	default:
-		p = rc.inner.Predict(x)
-	}
-	rc.insert(key, p.Clone())
-	return p, nil
-}
-
-// Predict is PredictErr behind the errorless plm.Model surface; a total
-// inner failure degrades to the uniform distribution like Client.Predict.
+// Predict is a one-row PredictBatch behind the errorless plm.Model surface;
+// a total inner failure degrades to the uniform distribution like
+// Client.Predict, and is not cached.
 func (rc *ResponseCache) Predict(x mat.Vec) mat.Vec {
-	p, err := rc.PredictErr(x)
+	ys, err := rc.PredictBatchCtx(context.Background(), []mat.Vec{x})
 	if err != nil {
 		out := make(mat.Vec, rc.Classes())
 		return out.Fill(1 / float64(rc.Classes()))
 	}
-	return p
+	return ys[0]
 }
 
 // PredictBatch answers cached items locally and ships only the misses to
@@ -176,7 +137,8 @@ func (rc *ResponseCache) PredictBatch(xs []mat.Vec) ([]mat.Vec, error) {
 
 // PredictBatchCtx is PredictBatch with the caller's context threaded
 // through to a context-aware inner model, so a caller timeout cancels the
-// miss batch's fan-out behind the cache.
+// miss batch's fan-out behind the cache. Hits never consult the context: a
+// cached answer is free.
 func (rc *ResponseCache) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error) {
 	if len(xs) == 0 {
 		return nil, nil
@@ -209,13 +171,7 @@ func (rc *ResponseCache) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]m
 	if len(missXs) == 0 {
 		return out, nil
 	}
-	var ys []mat.Vec
-	var err error
-	if cb, ok := rc.inner.(ctxBatchPredictor); ok {
-		ys, err = cb.PredictBatchCtx(ctx, missXs)
-	} else {
-		ys, err = predictAllErr(rc.inner, missXs)
-	}
+	ys, err := predictBatch(ctx, rc.inner, missXs)
 	if err != nil {
 		return nil, err
 	}
@@ -235,5 +191,4 @@ func (rc *ResponseCache) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]m
 
 var _ plm.Model = (*ResponseCache)(nil)
 var _ plm.BatchPredictor = (*ResponseCache)(nil)
-var _ ctxErrPredictor = (*ResponseCache)(nil)
 var _ ctxBatchPredictor = (*ResponseCache)(nil)

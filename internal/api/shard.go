@@ -17,13 +17,16 @@ import (
 // point — the paper's API setting assumes only that something answers
 // probability queries.
 //
-// A /batch request is split into chunks and dispatched load-aware: every
-// eligible backend pulls the next chunk off a shared queue as soon as it
-// finishes the previous one, so fast backends serve more of the batch and a
-// backend busy with another caller's work naturally takes less
-// (least-outstanding-work, tracked by per-backend inflight counters). Each
-// chunk writes only its own out[lo:hi] segment, so the merge preserves
-// submission order with no reordering and no lock.
+// Every request is a batch — a single probe is a one-row batch — and takes
+// one routing path: the batch is split into chunks and dispatched
+// load-aware. Every eligible backend pulls the next chunk off a shared
+// queue as soon as it finishes the previous one, so fast backends serve
+// more of the batch and a backend busy with another caller's work
+// naturally takes less (least-outstanding-work, tracked by per-backend
+// inflight counters). Seeding starts at the least-loaded backend with
+// round-robin tie-breaks, so single probes spread evenly. Each chunk writes
+// only its own out[lo:hi] segment, so the merge preserves submission order
+// with no reordering and no lock.
 //
 // Failures fail over instead of failing the batch: a backend whose chunk
 // errors is quarantined with exponential backoff and its chunk re-enqueued
@@ -62,7 +65,8 @@ type Shard struct {
 	dim      int
 	classes  int
 
-	// next drives the round-robin tie-break for single predictions.
+	// next rotates where dispatch starts seeding chunks, the round-robin
+	// tie-break that spreads single probes across equally loaded backends.
 	next atomic.Int64
 	// now is the clock, swappable in tests.
 	now func() time.Time
@@ -135,7 +139,7 @@ type backendState struct {
 	queries  atomic.Int64 // probes answered successfully
 	inflight atomic.Int64 // probes currently outstanding
 	retries  atomic.Int64 // chunks re-dispatched away after this backend failed them
-	failures atomic.Int64 // failed calls (chunks, singles, recovery probes)
+	failures atomic.Int64 // failed calls (chunks, recovery probes)
 
 	hedges       atomic.Int64 // hedges launched because this backend sat on a chunk
 	hedgeWins    atomic.Int64 // hedged chunks this backend answered first
@@ -491,58 +495,13 @@ func (s *Shard) eligible(ctx context.Context) []*backendState {
 	return out
 }
 
-// PredictErr routes one prediction to the eligible backend with the fewest
-// outstanding probes, breaking ties round-robin. A failing backend is
-// quarantined and the probe fails over to the next; when every backend has
-// failed, the error surfaces — the HTTP server turns it into a 5xx instead
-// of fabricating an answer.
-func (s *Shard) PredictErr(x mat.Vec) (mat.Vec, error) {
-	return s.PredictErrCtx(context.Background(), x)
-}
-
-// PredictErrCtx is PredictErr under a caller context: the context reaches
-// the backend call, and a probe that dies because the context ended fails
-// the call without quarantining the backend — a dead caller is not a dead
-// backend.
-func (s *Shard) PredictErrCtx(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	tried := make(map[*backendState]bool)
-	var lastErr error
-	for {
-		st := s.pickLeastLoaded(ctx, tried)
-		if st == nil {
-			if lastErr == nil {
-				return nil, fmt.Errorf("api: shard has no backends")
-			}
-			return nil, fmt.Errorf("api: all %d backends failed: %w", len(tried), lastErr)
-		}
-		tried[st] = true
-		st.inflight.Add(1)
-		p, err := st.b.Predict(ctx, x)
-		st.inflight.Add(-1)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The caller's deadline or cancellation, not the backend's
-				// fault: surface it without poisoning quarantine accounting
-				// or burning retries on backends that never saw the probe.
-				return nil, err
-			}
-			lastErr = err
-			st.failures.Add(1)
-			s.quarantine(st)
-			continue
-		}
-		s.clearQuarantine(st)
-		st.queries.Add(1)
-		return p, nil
-	}
-}
-
-// Predict is PredictErr behind the errorless plm.Model surface: when every
-// backend fails it degrades to the uniform distribution, the same contract
-// Client.Predict honours when its remote is gone. Servers should prefer
-// PredictErr so a total outage answers 5xx, not fabricated probabilities.
+// Predict answers one probe as a one-row batch behind the errorless
+// plm.Model surface: when every backend fails it degrades to the uniform
+// distribution, the same contract Client.Predict honours when its remote is
+// gone. Servers use PredictBatchCtx so a total outage answers 5xx, not
+// fabricated probabilities.
 func (s *Shard) Predict(x mat.Vec) mat.Vec {
-	p, err := s.PredictErr(x)
+	ys, err := s.PredictBatchCtx(context.Background(), []mat.Vec{x})
 	if err != nil {
 		classes := s.Classes()
 		if classes == 0 {
@@ -551,7 +510,7 @@ func (s *Shard) Predict(x mat.Vec) mat.Vec {
 		out := make(mat.Vec, classes)
 		return out.Fill(1 / float64(classes))
 	}
-	return p
+	return ys[0]
 }
 
 // clearQuarantine wipes a backend's failure record after a success — a
@@ -565,27 +524,21 @@ func (s *Shard) clearQuarantine(st *backendState) {
 	}
 }
 
-// pickLeastLoaded returns the untried eligible backend with the fewest
-// inflight probes, scanning from a rotating start so equal loads
-// round-robin. Returns nil when every eligible backend has been tried.
-func (s *Shard) pickLeastLoaded(ctx context.Context, tried map[*backendState]bool) *backendState {
-	elig := s.eligible(ctx)
-	if len(elig) == 0 {
-		return nil
-	}
+// leastLoadedFirst returns elig rotated to start at the backend with the
+// fewest inflight probes, scanning from a rotating start so equal loads
+// round-robin. dispatch seeds chunks in this order, so a one-chunk request
+// lands on that backend and the others stand by for failover and hedges.
+func (s *Shard) leastLoadedFirst(elig []*backendState) []*backendState {
 	start := int(s.next.Add(1)-1) % len(elig)
-	var best *backendState
-	var bestLoad int64
-	for i := 0; i < len(elig); i++ {
-		st := elig[(start+i)%len(elig)]
-		if tried[st] {
-			continue
-		}
-		if load := st.inflight.Load(); best == nil || load < bestLoad {
-			best, bestLoad = st, load
+	best := start
+	for i := 1; i < len(elig); i++ {
+		j := (start + i) % len(elig)
+		if elig[j].inflight.Load() < elig[best].inflight.Load() {
+			best = j
 		}
 	}
-	return best
+	out := make([]*backendState, 0, len(elig))
+	return append(append(out, elig[best:]...), elig[:best]...)
 }
 
 // span is one contiguous chunk of a batch.
@@ -638,60 +591,16 @@ func (s *Shard) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, e
 	if len(elig) == 0 {
 		return nil, fmt.Errorf("api: shard has no backends")
 	}
-	spans := s.chunkSpans(len(xs), len(elig))
 	out := make([]mat.Vec, len(xs))
-	if len(elig) == 1 || len(spans) == 1 {
-		if err := s.runSpans(ctx, xs, out, spans, elig); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if err := s.dispatch(ctx, xs, out, spans, elig); err != nil {
+	if err := s.dispatch(ctx, xs, out, s.chunkSpans(len(xs), len(elig)), s.leastLoadedFirst(elig)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// runSpans answers the chunks serially with failover: each backend in turn
-// (least-loaded first) tries the remaining work, so even a single-chunk
-// batch survives a dead backend as long as one lives.
-func (s *Shard) runSpans(ctx context.Context, xs []mat.Vec, out []mat.Vec, spans []span, elig []*backendState) error {
-	var lastErr error
-	tried := make(map[*backendState]bool, len(elig))
-	for len(tried) < len(elig) {
-		st := s.pickLeastLoaded(ctx, tried)
-		if st == nil {
-			break
-		}
-		tried[st] = true
-		if err := s.runChunksOn(ctx, st, xs, out, spans); err != nil {
-			if ctx.Err() != nil {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("api: all %d backends failed: %w", len(elig), lastErr)
-}
-
-// runChunksOn answers every span on one backend, quarantining it on the
-// first failure.
-func (s *Shard) runChunksOn(ctx context.Context, st *backendState, xs []mat.Vec, out []mat.Vec, spans []span) error {
-	for _, sp := range spans {
-		ys, err := s.runChunk(ctx, st, xs[sp.lo:sp.hi])
-		if err != nil {
-			return err
-		}
-		copy(out[sp.lo:sp.hi], ys)
-	}
-	return nil
-}
-
 // attemptChunk runs one chunk on one backend: inflight accounting and RTT
-// observation, no routing policy — the serial and hedged paths layer their
-// own quarantine/claim rules on top.
+// observation, no routing policy — dispatch layers its quarantine and
+// claim rules on top.
 func (s *Shard) attemptChunk(ctx context.Context, st *backendState, xs []mat.Vec) ([]mat.Vec, error) {
 	n := int64(len(xs))
 	st.inflight.Add(n)
@@ -706,24 +615,6 @@ func (s *Shard) attemptChunk(ctx context.Context, st *backendState, xs []mat.Vec
 		st.observeRTT(rtt)
 	}
 	return ys, err
-}
-
-// runChunk answers one chunk on one backend, maintaining the query and
-// failure counters and the quarantine state machine. A chunk that dies
-// because the context ended is not the backend's failure and does not
-// quarantine it.
-func (s *Shard) runChunk(ctx context.Context, st *backendState, xs []mat.Vec) ([]mat.Vec, error) {
-	ys, err := s.attemptChunk(ctx, st, xs)
-	if err != nil {
-		if ctx.Err() == nil {
-			st.failures.Add(1)
-			s.quarantine(st)
-		}
-		return nil, err
-	}
-	s.clearQuarantine(st)
-	st.queries.Add(int64(len(xs)))
-	return ys, nil
 }
 
 // hedgeThreshold is how long a chunk may sit on this backend before a
@@ -781,9 +672,11 @@ type taskRef struct {
 	hedge bool
 }
 
-// dispatch runs the load-aware chunk schedule. Each backend is seeded with
-// one chunk — every backend participates, and on same-speed backends the
-// split degenerates to the even one — while the remaining chunks sit on a
+// dispatch runs the load-aware chunk schedule for every request. Backends
+// are seeded with one chunk each in elig's order — every backend
+// participates, and on same-speed backends the split degenerates to the
+// even one; with fewer chunks than backends, the unseeded ones stand by for
+// failover and hedges — while the remaining chunks sit on a
 // shared queue that workers pull from as they finish, so faster (or less
 // loaded) backends absorb more of the tail. A worker whose chunk genuinely
 // fails re-enqueues it for the others and leaves the batch; pending counts
@@ -976,5 +869,4 @@ func (s *Shard) dispatch(ctx context.Context, xs []mat.Vec, out []mat.Vec, spans
 
 var _ plm.Model = (*Shard)(nil)
 var _ plm.BatchPredictor = (*Shard)(nil)
-var _ ctxErrPredictor = (*Shard)(nil)
 var _ ctxBatchPredictor = (*Shard)(nil)

@@ -428,3 +428,49 @@ func TestShardedServerReportsPerReplicaStats(t *testing.T) {
 		}
 	}
 }
+
+func TestShardedCacheServesPredictAndBatchAlike(t *testing.T) {
+	// /predict is a one-row batch behind the server: the same probes sent
+	// one per /predict and one per one-row /batch through ResponseCache →
+	// Shard come back bit-identical, with the same per-backend query and
+	// cache counts. The second round is all cache hits on both stacks.
+	stack := func() (*Shard, *ResponseCache, *Client) {
+		s := shardOf(t, 2, 209)
+		rc, err := NewResponseCache(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewServer(rc, "cached"))
+		t.Cleanup(ts.Close)
+		c, err := Dial(ts.URL, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, rc, c
+	}
+	sp, rcp, cp := stack()
+	sb, rcb, cb := stack()
+	xs := shardProbes(8)
+	for round := 0; round < 2; round++ {
+		for i, x := range xs {
+			viaPredict, err := cp.PredictErr(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaBatch, err := cb.PredictBatch([]mat.Vec{x})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !viaPredict.EqualApprox(viaBatch[0], 0) {
+				t.Fatalf("round %d probe %d: /predict %v != /batch %v", round, i, viaPredict, viaBatch[0])
+			}
+		}
+	}
+	qp, qb := sp.ReplicaQueries(), sb.ReplicaQueries()
+	if len(qp) != 2 || qp[0] != 4 || qp[1] != 4 || qb[0] != qp[0] || qb[1] != qp[1] {
+		t.Fatalf("per-backend queries /predict %v, /batch %v, want [4 4] on both", qp, qb)
+	}
+	if p, b := rcp.StoreStats(), rcb.StoreStats(); p != b || p.Hits != 8 || p.Misses != 8 {
+		t.Fatalf("cache stats /predict %+v, /batch %+v, want 8 hits and 8 misses on both", p, b)
+	}
+}

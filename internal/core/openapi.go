@@ -73,7 +73,9 @@ type Config struct {
 	// inconsistency; in float64 the tolerance separates rounding error
 	// (accept) from region mixing (reject). 1e-9 sits about three orders
 	// above observed round-off at image dimensionalities while rejecting
-	// mixes reliably; see DESIGN.md §5.
+	// mixes reliably. The residual is also capped at 1e3 ×
+	// Tolerance × the sample set's log-odds spread, which keeps small-edge
+	// sample sets that straddle a boundary out; see DESIGN.md §5.
 	Tolerance float64
 	// ExtraChecks is the number of held-out verification equations. The
 	// paper uses one (Ω has d+2 rows); every additional check multiplies
@@ -271,7 +273,7 @@ func (o *OpenAPI) solveAll(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat.Vec, 
 			}
 			rhs := rhsFor(cp)
 			res, err := qr.ResidualNorm(rhs)
-			if err != nil || res > o.cfg.Tolerance*(1+rhs.NormInf()) {
+			if err != nil || res > min(o.cfg.Tolerance*(1+rhs.NormInf()), o.spreadCap(rhs, d)) {
 				return nil, false
 			}
 			beta, err := qr.SolveVec(rhs)
@@ -333,14 +335,39 @@ func (o *OpenAPI) solveAndCheck(lu *mat.LU, rhs mat.Vec, extras []mat.Vec) (*pai
 		return nil, false
 	}
 	dvec := mat.Vec(beta[1:])
+	limit := o.spreadCap(rhs, n-1)
 	for i, extra := range extras {
 		pred := beta[0] + dvec.Dot(extra)
 		want := rhs[n+i]
-		if math.Abs(pred-want) > o.cfg.Tolerance*(1+math.Abs(want)+rhs[:n].NormInf()) {
+		if math.Abs(pred-want) > min(o.cfg.Tolerance*(1+math.Abs(want)+rhs[:n].NormInf()), limit) {
 			return nil, false
 		}
 	}
 	return &pairSolution{D: beta[1:], B: beta[0]}, true
+}
+
+// spreadFactor scales Tolerance into the residual cap relative to the
+// sample set's log-odds spread: 1e3 × the default 1e-9 caps a held-out
+// residual at 1e-6 of the spread.
+const spreadFactor = 1e3
+
+// spreadCap bounds the held-out residual of one class pair's log-odds rhs
+// (anchor first) by the sample set's spread max_i |L_i − L_0|, on top of
+// the Tolerance bound at the log-odds' own scale. A sample set that
+// straddles a region boundary leaves a residual of about the log-odds jump
+// past the boundary, and the solved D absorbs about residual/r of error; at
+// small edges r a residual far below the Tolerance bound is still a large
+// error in D. The spread shrinks with r (it is about r·‖D‖), so a cap
+// proportional to it keeps the accepted error in D relative. The cap never
+// falls below the round-off floor of a (d+1)-term solve, so it cannot
+// reject a consistent set on rounding alone.
+func (o *OpenAPI) spreadCap(rhs mat.Vec, d int) float64 {
+	var spread float64
+	for _, l := range rhs[1:] {
+		spread = max(spread, math.Abs(l-rhs[0]))
+	}
+	floor := 16 * float64(d+1) * 0x1p-52 * (1 + rhs.NormInf())
+	return max(spreadFactor*o.cfg.Tolerance*spread, floor)
 }
 
 // designMatrix stacks rows [1, x_i...] — the paper's coefficient matrix A.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -492,6 +493,49 @@ func TestInterpretBitIdenticalOverBatchedForward(t *testing.T) {
 			if viaBatch.Features[i] != viaScalar.Features[i] {
 				t.Fatalf("trial %d feature %d: %v != %v (bit-exact)",
 					trial, i, viaBatch.Features[i], viaScalar.Features[i])
+			}
+		}
+	}
+}
+
+func TestOpenAPIRejectsStraddlingSetsAtSmallEdges(t *testing.T) {
+	// Instances 1e-8..1e-5 from a first-layer unit's hyperplane converge
+	// at edges where a sample past the boundary leaves a held-out residual
+	// below the log-odds-scaled Tolerance bound, yet the solved D absorbs
+	// residual/r of error. An answer flagged Exact must still match the
+	// white box: the residual cap relative to the sample set's log-odds
+	// spread rejects those straddling sets.
+	net := nn.New(rand.New(rand.NewSource(1)), 64, 64, 32, 10)
+	model := &openbox.PLNN{Net: net}
+	l0 := net.Layer(0)
+	rng := rand.New(rand.NewSource(2))
+	for _, solver := range []Solver{SolverSharedLU, SolverSharedQR} {
+		for i := 0; i < 40; i++ {
+			x := randVec(rng, 64)
+			j := rng.Intn(64)
+			w := l0.W.Row(j)
+			dist := math.Pow(10, -8+3*rng.Float64())
+			if rng.Intn(2) == 0 {
+				dist = -dist
+			}
+			// Move x to signed distance dist from unit j's hyperplane.
+			x.Axpy((dist*w.Norm2()-w.Dot(x)-l0.B[j])/w.Dot(w), w)
+			truth, err := model.LocalAt(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := model.Predict(x).ArgMax()
+			got, err := New(Config{Seed: int64(i), Solver: solver}).Interpret(model, x, c)
+			if errors.Is(err, ErrNoConvergence) {
+				continue // an honest refusal, not a wrong answer
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := truth.DecisionFeatures(c)
+			if rel := got.Features.L1Dist(want) / want.Norm1(); got.Exact && rel > 1e-4 {
+				t.Fatalf("%v instance %d (%.1e from unit %d): Exact answer off the white box by %.3g relative L1 (iters %d, edge %g)",
+					solver, i, dist, j, rel, got.Iterations, got.FinalEdge)
 			}
 		}
 	}

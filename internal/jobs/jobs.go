@@ -95,9 +95,10 @@ type View struct {
 	// Census holds a census job's sweep summary; the swept regions
 	// themselves live in the region store the sweep populated.
 	Census *eval.SweepReport `json:"census,omitempty"`
-	// Total and Offset describe the result window on paginated responses
-	// (GET /jobs/{id}?offset&limit): Total is the full result count, Offset
-	// where this page starts. Absent on unpaginated (legacy) fetches.
+	// Total and Offset describe the result window of a GET /jobs/{id}
+	// answer (offset and limit default to the whole result set): Total is
+	// the full result count, Offset where this page starts. Zero values
+	// are omitted.
 	Total  int `json:"total,omitempty"`
 	Offset int `json:"offset,omitempty"`
 }
@@ -524,10 +525,7 @@ func (r *Runner) handleGet(w http.ResponseWriter, req *http.Request) {
 		r.streamView(w, ex, view, window)
 		return
 	}
-	if window.present {
-		view = paginate(view, window)
-	}
-	ex.WriteJSON(w, http.StatusOK, view)
+	ex.WriteJSON(w, http.StatusOK, paginate(view, window))
 }
 
 // headerSafe makes an error message safe to carry in a response header.

@@ -16,13 +16,13 @@ const defaultStreamRows = 1024
 
 // window is the offset/limit result slice a GET /jobs/{id} asked for.
 type window struct {
-	present bool
-	offset  int
-	limit   int // -1: to the end
+	offset int
+	limit  int // -1: to the end
 }
 
-// parseWindow reads the offset/limit query parameters. Absent parameters
-// mean the legacy full-result fetch.
+// parseWindow reads the offset/limit query parameters. An absent offset
+// is 0 and an absent limit runs to the end, so a parameterless fetch is
+// the whole result set as one window.
 func parseWindow(req *http.Request) (window, error) {
 	q := req.URL.Query()
 	w := window{limit: -1}
@@ -31,14 +31,14 @@ func parseWindow(req *http.Request) (window, error) {
 		if err != nil || n < 0 {
 			return w, fmt.Errorf("jobs: bad offset %q", v)
 		}
-		w.present, w.offset = true, n
+		w.offset = n
 	}
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return w, fmt.Errorf("jobs: bad limit %q", v)
 		}
-		w.present, w.limit = true, n
+		w.limit = n
 	}
 	return w, nil
 }

@@ -91,13 +91,13 @@ func TestJSONPaginationWindow(t *testing.T) {
 		t.Fatalf("past-the-end page = total %d rows %d", past.Total, len(past.Probs))
 	}
 
-	// The legacy parameterless fetch still ships everything, unstamped —
-	// exactly what a pre-pagination client expects.
-	legacy := get(c.BaseURL() + "/v1/jobs/" + id)
-	if legacy.Total != 0 || legacy.Offset != 0 {
-		t.Fatalf("legacy fetch grew window fields: total %d offset %d", legacy.Total, legacy.Offset)
+	// A parameterless fetch is the default window: everything, stamped
+	// with the full total from offset 0.
+	whole := get(c.BaseURL() + "/v1/jobs/" + id)
+	if whole.Total != 10 || whole.Offset != 0 {
+		t.Fatalf("parameterless fetch = total %d offset %d, want 10/0", whole.Total, whole.Offset)
 	}
-	rowBitsEqual(t, legacy.Probs, full.Probs, "legacy fetch")
+	rowBitsEqual(t, whole.Probs, full.Probs, "parameterless fetch")
 
 	// Malformed windows answer 400.
 	for _, q := range []string{"?offset=-1", "?limit=-2", "?offset=abc"} {
